@@ -1,6 +1,8 @@
 // Command miniredisd runs the embedded Redis-compatible server standalone,
 // for poking at it with any RESP client or for hosting the Redis mappings
-// out-of-process.
+// out-of-process. It serves the command set listed in the internal/miniredis
+// package documentation (the protocol the workflow engine speaks); any other
+// command is answered with "ERR unknown command".
 //
 // Usage:
 //

@@ -1,10 +1,56 @@
 package codec
 
-import "testing"
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"strings"
+	"testing"
+)
 
-// The BenchmarkCodec* family compares the flat wire format against the
-// legacy gob path it replaced. CI runs these with -benchmem as the
-// allocation-regression smoke alongside TestEncodeSteadyStateZeroAllocs.
+// The BenchmarkCodec* family compares the flat wire format against a gob
+// baseline (the per-task gob framing the flat format replaced). CI runs
+// these with -benchmem as the allocation-regression smoke alongside
+// TestEncodeSteadyStateZeroAllocs.
+
+// encodeGob is the gob baseline for one task: a bare gob stream of Task.
+func encodeGob(t Task) (string, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&t); err != nil {
+		return "", fmt.Errorf("codec: encode task for PE %q: %w", t.PE, err)
+	}
+	return buf.String(), nil
+}
+
+// encodeGobBatch is the gob baseline for a batch: one 0x00 byte followed by
+// a gob stream of []Task; a one-task batch degrades to encodeGob.
+func encodeGobBatch(ts []Task) (string, error) {
+	if len(ts) == 0 {
+		return "", fmt.Errorf("codec: encode empty batch")
+	}
+	if len(ts) == 1 {
+		return encodeGob(ts[0])
+	}
+	var buf bytes.Buffer
+	buf.WriteByte(0x00)
+	if err := gob.NewEncoder(&buf).Encode(ts); err != nil {
+		return "", fmt.Errorf("codec: encode batch of %d tasks: %w", len(ts), err)
+	}
+	return buf.String(), nil
+}
+
+// decodeGob and decodeGobBatch are the matching gob decode baselines.
+func decodeGob(s string) (Task, error) {
+	var t Task
+	err := gob.NewDecoder(strings.NewReader(s)).Decode(&t)
+	return t, err
+}
+
+func decodeGobBatch(s string) ([]Task, error) {
+	var ts []Task
+	err := gob.NewDecoder(strings.NewReader(s[1:])).Decode(&ts)
+	return ts, err
+}
 
 func benchTask(i int) Task {
 	return Task{PE: "sessionize", Port: "in", Value: "user-1234", Instance: -1, Src: uint64(i + 1), Seq: uint64(i)}
@@ -61,7 +107,7 @@ func BenchmarkCodecDecodeGob(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(s); err != nil {
+		if _, err := decodeGob(s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +156,7 @@ func BenchmarkCodecDecodeBatch64Gob(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBatch(s); err != nil {
+		if _, err := decodeGobBatch(s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,16 +30,15 @@
 //
 // Encoding is allocation-free in steady state: AppendTask/AppendBatch write
 // into a caller-supplied byte slice (GetBuffer/Release pool them), and
-// inline-scalar frames touch neither gob nor the heap. Decoding recognizes
-// the two legacy gob formats — a bare gob frame (first byte never 0x00) and
-// the 0x00-prefixed gob batch frame — so frames written by earlier versions
-// still decode.
+// inline-scalar frames touch neither gob nor the heap. Frames live only in a
+// run's own streams, so decoding accepts the flat format alone: anything else
+// fails with ErrNotFlat.
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -106,16 +105,15 @@ func init() {
 	gob.Register(Task{})
 }
 
-// Wire constants. A legacy gob stream starts with a length-prefixed message
-// whose first byte is never 0x00, and the legacy batch frame is exactly one
-// 0x00 followed by a gob stream — so two leading NULs are unreachable by
-// either legacy format and unambiguously mark a flat frame.
+// Wire constants.
 const (
 	flatMagic   = 0x00 // first two bytes of a flat frame
 	flatVersion = 0x01 // current flat format version
-
-	legacyBatchMagic = 0x00 // single 0x00 prefix of the legacy gob batch
 )
+
+// ErrNotFlat is returned when a frame does not start with the flat-frame
+// magic (for example a bare gob stream).
+var ErrNotFlat = errors.New("codec: not a flat frame")
 
 // Record flag bits.
 const (
@@ -324,49 +322,24 @@ func EncodeBatch(ts []Task) (string, error) {
 	return string(b), nil
 }
 
-// isFlat reports whether s starts with a flat-frame magic.
-func isFlat(s string) bool {
-	return len(s) >= 4 && s[0] == flatMagic && s[1] == flatMagic
-}
-
-// Decode deserializes a one-task frame produced by Encode — current flat
-// frames and legacy single-task gob frames both decode.
+// Decode deserializes a one-task frame produced by Encode (or a one-task
+// EncodeBatch).
 func Decode(s string) (Task, error) {
-	if isFlat(s) {
-		ts, err := decodeFlat(s)
-		if err != nil {
-			return Task{}, err
-		}
-		if len(ts) != 1 {
-			return Task{}, fmt.Errorf("codec: decode task: frame holds %d tasks", len(ts))
-		}
-		return ts[0], nil
-	}
-	return decodeGob(s)
-}
-
-// DecodeBatch deserializes any frame this package has ever written: flat
-// frames (any count), legacy gob batch frames, and legacy single-task gob
-// frames (returned as a one-element slice).
-func DecodeBatch(s string) ([]Task, error) {
-	if isFlat(s) {
-		return decodeFlat(s)
-	}
-	if len(s) > 0 && s[0] == legacyBatchMagic {
-		var ts []Task
-		if err := gob.NewDecoder(strings.NewReader(s[1:])).Decode(&ts); err != nil {
-			return nil, fmt.Errorf("codec: decode batch: %w", err)
-		}
-		return ts, nil
-	}
-	t, err := decodeGob(s)
+	ts, err := DecodeBatch(s)
 	if err != nil {
-		return nil, err
+		return Task{}, err
 	}
-	return []Task{t}, nil
+	if len(ts) != 1 {
+		return Task{}, fmt.Errorf("codec: decode task: frame holds %d tasks", len(ts))
+	}
+	return ts[0], nil
 }
 
-func decodeFlat(s string) ([]Task, error) {
+// DecodeBatch deserializes a flat frame of any task count.
+func DecodeBatch(s string) ([]Task, error) {
+	if len(s) < 4 || s[0] != flatMagic || s[1] != flatMagic {
+		return nil, ErrNotFlat
+	}
 	if s[2] != flatVersion {
 		return nil, fmt.Errorf("codec: unknown wire format version %d", s[2])
 	}
@@ -508,44 +481,6 @@ func decodeRecord(s string, off int, t *Task) (int, bool, error) {
 		return off, false, fmt.Errorf("unknown payload tag 0x%02x", tag)
 	}
 	return off, false, nil
-}
-
-// --- legacy gob format, retained for cross-version decode and benchmarks ---
-
-// decodeGob deserializes a legacy single-task gob frame.
-func decodeGob(s string) (Task, error) {
-	var t Task
-	if err := gob.NewDecoder(strings.NewReader(s)).Decode(&t); err != nil {
-		return Task{}, fmt.Errorf("codec: decode task: %w", err)
-	}
-	return t, nil
-}
-
-// encodeGob writes the legacy single-task gob frame (what Encode produced
-// before the flat format).
-func encodeGob(t Task) (string, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&t); err != nil {
-		return "", fmt.Errorf("codec: encode task for PE %q: %w", t.PE, err)
-	}
-	return buf.String(), nil
-}
-
-// encodeGobBatch writes the legacy batch frame (0x00 magic + gob of []Task);
-// like the old EncodeBatch, a one-task batch degrades to the single frame.
-func encodeGobBatch(ts []Task) (string, error) {
-	if len(ts) == 0 {
-		return "", fmt.Errorf("codec: encode empty batch")
-	}
-	if len(ts) == 1 {
-		return encodeGob(ts[0])
-	}
-	var buf bytes.Buffer
-	buf.WriteByte(legacyBatchMagic)
-	if err := gob.NewEncoder(&buf).Encode(ts); err != nil {
-		return "", fmt.Errorf("codec: encode batch of %d tasks: %w", len(ts), err)
-	}
-	return buf.String(), nil
 }
 
 // --- primitive readers/writers over strings (no []byte conversions) ---

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -70,6 +71,14 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 	if _, err := Decode(""); err == nil {
 		t.Error("empty string must not decode")
+	}
+	// A bare gob frame of a valid Task is not a flat frame.
+	bare, err := encodeGob(Task{PE: "pe", Port: "in", Value: "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bare); !errors.Is(err, ErrNotFlat) {
+		t.Errorf("bare gob frame: err=%v, want ErrNotFlat", err)
 	}
 }
 
@@ -150,8 +159,22 @@ func TestBatchEdgeCases(t *testing.T) {
 	if _, err := DecodeBatch(""); err == nil {
 		t.Error("empty string must not decode")
 	}
-	if _, err := DecodeBatch(string([]byte{legacyBatchMagic}) + "garbage"); err == nil {
-		t.Error("garbage legacy batch frame must not decode")
+	if _, err := DecodeBatch("\x00garbage"); err == nil {
+		t.Error("0x00-prefixed garbage must not decode")
+	}
+	// Well-formed gob frames, bare or 0x00-prefixed, are not flat frames.
+	bare, err := encodeGobBatch([]Task{{PE: "pe"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixed, err := encodeGobBatch([]Task{{PE: "a"}, {PE: "b", Value: 3.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, frame := range map[string]string{"bare gob": bare, "0x00-prefixed gob": prefixed} {
+		if _, err := DecodeBatch(frame); !errors.Is(err, ErrNotFlat) || !strings.HasPrefix(err.Error(), "codec: ") {
+			t.Errorf("%s frame: err=%v, want ErrNotFlat", name, err)
+		}
 	}
 	if _, err := DecodeBatch(string([]byte{flatMagic, flatMagic, flatVersion, 200}) + "x"); err == nil {
 		t.Error("flat frame with implausible count must not decode")

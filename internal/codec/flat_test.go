@@ -144,47 +144,6 @@ func TestFlatMaxSizeBatch(t *testing.T) {
 	}
 }
 
-// TestCrossVersionGobFramesDecode replays the exact frames the previous
-// codec wrote — bare gob single frames and 0x00-prefixed gob batch frames —
-// through the current Decode/DecodeBatch.
-func TestCrossVersionGobFramesDecode(t *testing.T) {
-	orig := Task{
-		PE: "getVOTable", Port: "in", Instance: 3,
-		Value: samplePayload{Name: "g1", Values: []float64{1.5, -2.25}},
-		Src:   0xdead_beef, Seq: 41, TraceAt: 123456789,
-	}
-	single, err := encodeGob(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(single)
-	if err != nil {
-		t.Fatalf("legacy single frame: %v", err)
-	}
-	if got.PE != orig.PE || got.Src != orig.Src || got.Seq != orig.Seq || got.TraceAt != orig.TraceAt {
-		t.Errorf("legacy single frame envelope: %+v", got)
-	}
-	if p, ok := got.Value.(samplePayload); !ok || p.Name != "g1" || p.Values[1] != -2.25 {
-		t.Errorf("legacy single frame payload: %#v", got.Value)
-	}
-	if ts, err := DecodeBatch(single); err != nil || len(ts) != 1 || ts[0].PE != orig.PE {
-		t.Errorf("legacy single frame via DecodeBatch: %v %+v", err, ts)
-	}
-
-	batch := []Task{orig, {PE: "agg", Instance: 0, Finalize: true}, {Poison: true}}
-	frame, err := encodeGobBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := DecodeBatch(frame)
-	if err != nil {
-		t.Fatalf("legacy batch frame: %v", err)
-	}
-	if len(ts) != 3 || ts[0].Src != orig.Src || !ts[1].Finalize || !ts[2].Poison {
-		t.Errorf("legacy batch frame: %+v", ts)
-	}
-}
-
 // TestEncodeSteadyStateZeroAllocs is the allocation-regression gate: the
 // steady-state encode path — a reused buffer, inline-scalar payloads,
 // stamped identities — must not allocate at all.

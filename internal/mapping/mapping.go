@@ -122,7 +122,7 @@ type Options struct {
 	StateCheckpointEvery int
 	// EmitBatch buffers up to this many emitted tasks per worker and hands
 	// them to the transport in one batched push: Redis transports pipeline
-	// the XADD/RPUSH commands into a single round trip, in-process
+	// the XADD commands into a single round trip, in-process
 	// transports pay one synchronization cost per batch. 1 disables
 	// batching; 0 picks the mapping's default (AutoBatch on the Redis
 	// mappings, unbatched elsewhere); AutoBatch sizes the window adaptively.
@@ -131,9 +131,8 @@ type Options struct {
 	EmitBatch int
 	// PullBatch caps how many tasks a worker takes from the transport per
 	// consume round trip, holding the surplus in a worker-local prefetch
-	// buffer: the Redis transport reads XREADGROUP COUNT n (LPOP count on
-	// private lists), the in-process queue dequeues the window under one
-	// lock hold. Acknowledgements are batched symmetrically — one pipelined
+	// buffer: the Redis transport reads XREADGROUP COUNT n, the in-process
+	// queue dequeues the window under one lock hold. Acknowledgements are batched symmetrically — one pipelined
 	// release per pulled batch, flushed before the buffer refills — and
 	// prefetched tasks stay pending until acknowledged, so the coordinator's
 	// drain never unblocks early. 1 disables batching; 0 picks the mapping's

@@ -199,16 +199,16 @@ func cmdFenceXAck(s *Server, args []string) resp.Value {
 
 // sinkCmd is one validated SINKAPPEND subcommand.
 type sinkCmd struct {
-	op    string // XADD | RPUSH | INCRBY
+	op    string // XADD | INCRBY
 	key   string
-	args  []string // XADD fields / RPUSH values
+	args  []string // XADD fields
 	delta int64    // INCRBY
 }
 
 // cmdSinkAppend is the fenced transactional append: record the applied-ledger
 // field in the state hash and enqueue a whole output batch — pending-counter
-// increment, stream entries, private-list pushes — as one atomic step. A
-// duplicate (ledger already recorded) applies nothing and replies 0. The
+// increments (INCRBY) and stream entries (auto-ID XADD) — as one atomic step.
+// A duplicate (ledger already recorded) applies nothing and replies 0. The
 // whole block is validated, including key types, before any mutation, so a
 // bad request cannot leave a half-applied batch.
 func cmdSinkAppend(s *Server, args []string) resp.Value {
@@ -246,14 +246,6 @@ func cmdSinkAppend(s *Server, args []string) resp.Value {
 				return errValue(lerr)
 			}
 			cmds = append(cmds, sinkCmd{op: op, key: argv[1], args: argv[3:]})
-		case "RPUSH":
-			if n < 3 {
-				return resp.Err("ERR SINKAPPEND malformed RPUSH")
-			}
-			if _, lerr := s.db.lookupKind(argv[1], kindList, now); lerr != nil {
-				return errValue(lerr)
-			}
-			cmds = append(cmds, sinkCmd{op: op, key: argv[1], args: argv[2:]})
 		case "INCRBY":
 			if n != 3 {
 				return resp.Err("ERR SINKAPPEND malformed INCRBY")
@@ -298,10 +290,6 @@ func cmdSinkAppend(s *Server, args []string) resp.Value {
 			se, _ := s.db.streamFor(c.key, true, now)
 			st := se.stream
 			st.add(st.nextAutoID(now), append([]string(nil), c.args...))
-			s.notifyKey(c.key)
-		case "RPUSH":
-			le, _ := s.db.listFor(c.key, now)
-			le.list = append(le.list, c.args...)
 			s.notifyKey(c.key)
 		default: // INCRBY
 			if v := addToString(s, c.key, c.delta); v.Type == resp.Error {

@@ -14,17 +14,8 @@ func init() {
 	register("HDEL", 2, -1, cmdHDel)
 	register("HGETALL", 1, 1, cmdHGetAll)
 	register("HLEN", 1, 1, cmdHLen)
-	register("HEXISTS", 2, 2, cmdHExists)
 	register("HINCRBY", 3, 3, cmdHIncrBy)
 	register("HKEYS", 1, 1, cmdHKeys)
-	register("HVALS", 1, 1, cmdHVals)
-	register("HMGET", 2, -1, cmdHMGet)
-
-	register("SADD", 2, -1, cmdSAdd)
-	register("SREM", 2, -1, cmdSRem)
-	register("SISMEMBER", 2, 2, cmdSIsMember)
-	register("SMEMBERS", 1, 1, cmdSMembers)
-	register("SCARD", 1, 1, cmdSCard)
 }
 
 func (d *db) hashFor(key string, now time.Time) (*entry, error) {
@@ -127,20 +118,6 @@ func cmdHLen(s *Server, args []string) resp.Value {
 	return resp.Int(int64(len(e.hash)))
 }
 
-func cmdHExists(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindHash, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Int(0)
-	}
-	if _, ok := e.hash[args[1]]; ok {
-		return resp.Int(1)
-	}
-	return resp.Int(0)
-}
-
 func cmdHIncrBy(s *Server, args []string) resp.Value {
 	delta, err := strconv.ParseInt(args[2], 10, 64)
 	if err != nil {
@@ -171,127 +148,4 @@ func cmdHKeys(s *Server, args []string) resp.Value {
 		return resp.Arr()
 	}
 	return resp.StrArray(sortedHashFields(e.hash)...)
-}
-
-func cmdHVals(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindHash, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Arr()
-	}
-	vals := make([]string, 0, len(e.hash))
-	for _, f := range sortedHashFields(e.hash) {
-		vals = append(vals, e.hash[f])
-	}
-	return resp.StrArray(vals...)
-}
-
-func cmdHMGet(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindHash, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	out := make([]resp.Value, len(args)-1)
-	for i, f := range args[1:] {
-		if e == nil {
-			out[i] = resp.Nil
-			continue
-		}
-		if v, ok := e.hash[f]; ok {
-			out[i] = resp.Str(v)
-		} else {
-			out[i] = resp.Nil
-		}
-	}
-	return resp.Arr(out...)
-}
-
-func (d *db) setFor(key string, now time.Time) (*entry, error) {
-	e, err := d.lookupKind(key, kindSet, now)
-	if err != nil || e != nil {
-		return e, err
-	}
-	e = &entry{kind: kindSet, set: make(map[string]struct{})}
-	d.keys[key] = e
-	return e, nil
-}
-
-func cmdSAdd(s *Server, args []string) resp.Value {
-	e, err := s.db.setFor(args[0], time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	var n int64
-	for _, m := range args[1:] {
-		if _, ok := e.set[m]; !ok {
-			e.set[m] = struct{}{}
-			n++
-		}
-	}
-	s.notifyKey(args[0])
-	return resp.Int(n)
-}
-
-func cmdSRem(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindSet, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Int(0)
-	}
-	var n int64
-	for _, m := range args[1:] {
-		if _, ok := e.set[m]; ok {
-			delete(e.set, m)
-			n++
-		}
-	}
-	if len(e.set) == 0 {
-		delete(s.db.keys, args[0])
-	}
-	return resp.Int(n)
-}
-
-func cmdSIsMember(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindSet, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Int(0)
-	}
-	if _, ok := e.set[args[1]]; ok {
-		return resp.Int(1)
-	}
-	return resp.Int(0)
-}
-
-func cmdSMembers(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindSet, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Arr()
-	}
-	members := make([]string, 0, len(e.set))
-	for m := range e.set {
-		members = append(members, m)
-	}
-	sort.Strings(members)
-	return resp.StrArray(members...)
-}
-
-func cmdSCard(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindSet, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Int(0)
-	}
-	return resp.Int(int64(len(e.set)))
 }

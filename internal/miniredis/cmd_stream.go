@@ -13,19 +13,14 @@ import (
 func init() {
 	register("XADD", 4, -1, cmdXAdd)
 	register("XLEN", 1, 1, cmdXLen)
-	register("XRANGE", 3, 5, cmdXRange)
-	register("XREVRANGE", 3, 5, cmdXRevRange)
-	register("XREAD", 3, -1, cmdXRead)
 	register("XGROUP", 2, -1, cmdXGroup)
 	register("XREADGROUP", 6, -1, cmdXReadGroup)
 	register("XACK", 3, -1, cmdXAck)
 	register("XPENDING", 2, -1, cmdXPending)
 	register("XCLAIM", 5, -1, cmdXClaim)
 	register("XAUTOCLAIM", 4, -1, cmdXAutoClaim)
-	register("XDEL", 2, -1, cmdXDel)
 	register("XTRIM", 3, 4, cmdXTrim)
-	register("XINFO", 2, 3, cmdXInfo)
-	register("XSETID", 2, 2, cmdXSetID)
+	register("XINFO", 3, 3, cmdXInfo)
 }
 
 var errNoGroup = func(key, group string) resp.Value {
@@ -62,32 +57,22 @@ func (d *db) streamFor(key string, create bool, now time.Time) (*entry, error) {
 func cmdXAdd(s *Server, args []string) resp.Value {
 	key := args[0]
 	i := 1
-	nomkstream := false
 	maxLen := int64(-1)
-	for i < len(args) {
-		switch strings.ToUpper(args[i]) {
-		case "NOMKSTREAM":
-			nomkstream = true
+	if strings.EqualFold(args[i], "MAXLEN") {
+		i++
+		if i < len(args) && (args[i] == "~" || args[i] == "=") {
 			i++
-		case "MAXLEN":
-			i++
-			if i < len(args) && (args[i] == "~" || args[i] == "=") {
-				i++
-			}
-			if i >= len(args) {
-				return resp.Err("ERR syntax error")
-			}
-			n, err := strconv.ParseInt(args[i], 10, 64)
-			if err != nil || n < 0 {
-				return resp.Err("ERR value is not an integer or out of range")
-			}
-			maxLen = n
-			i++
-		default:
-			goto idArg
 		}
+		if i >= len(args) {
+			return resp.Err("ERR syntax error")
+		}
+		n, err := strconv.ParseInt(args[i], 10, 64)
+		if err != nil || n < 0 {
+			return resp.Err("ERR value is not an integer or out of range")
+		}
+		maxLen = n
+		i++
 	}
-idArg:
 	if i >= len(args) {
 		return resp.Err("ERR wrong number of arguments for 'xadd' command")
 	}
@@ -99,12 +84,9 @@ idArg:
 	}
 
 	now := time.Now()
-	e, err := s.db.streamFor(key, !nomkstream, now)
+	e, err := s.db.streamFor(key, true, now)
 	if err != nil {
 		return errValue(err)
-	}
-	if e == nil {
-		return resp.Nil // NOMKSTREAM and no stream
 	}
 	st := e.stream
 
@@ -153,47 +135,6 @@ func cmdXLen(s *Server, args []string) resp.Value {
 	return resp.Int(int64(len(e.stream.entries)))
 }
 
-func xrange(s *Server, args []string, reverse bool) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindStream, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	count := 0
-	if len(args) >= 5 {
-		if !strings.EqualFold(args[3], "COUNT") {
-			return resp.Err("ERR syntax error")
-		}
-		count, err = strconv.Atoi(args[4])
-		if err != nil || count < 0 {
-			return resp.Err("ERR value is not an integer or out of range")
-		}
-	} else if len(args) == 4 {
-		return resp.Err("ERR syntax error")
-	}
-	loStr, hiStr := args[1], args[2]
-	if reverse {
-		loStr, hiStr = hiStr, loStr
-	}
-	// Exclusive bounds "(id" supported for completeness.
-	lo, hi, err := parseRangeBounds(loStr, hiStr)
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Arr()
-	}
-	entries := e.stream.rangeEntries(lo, hi, 0)
-	if reverse {
-		for i, j := 0, len(entries)-1; i < j; i, j = i+1, j-1 {
-			entries[i], entries[j] = entries[j], entries[i]
-		}
-	}
-	if count > 0 && len(entries) > count {
-		entries = entries[:count]
-	}
-	return entriesValue(entries)
-}
-
 func parseRangeBounds(loStr, hiStr string) (StreamID, StreamID, error) {
 	loExcl := strings.HasPrefix(loStr, "(")
 	hiExcl := strings.HasPrefix(hiStr, "(")
@@ -221,9 +162,6 @@ func parseRangeBounds(loStr, hiStr string) (StreamID, StreamID, error) {
 	return lo, hi, nil
 }
 
-func cmdXRange(s *Server, args []string) resp.Value    { return xrange(s, args, false) }
-func cmdXRevRange(s *Server, args []string) resp.Value { return xrange(s, args, true) }
-
 // parseStreamsClause parses the trailing "STREAMS key... id..." section.
 func parseStreamsClause(args []string, i int) (keys, ids []string, err error) {
 	if i >= len(args) || !strings.EqualFold(args[i], "STREAMS") {
@@ -237,195 +175,31 @@ func parseStreamsClause(args []string, i int) (keys, ids []string, err error) {
 	return rest[:half], rest[half:], nil
 }
 
-func cmdXRead(s *Server, args []string) resp.Value {
-	count := 0
-	blockMs := int64(-1)
-	i := 0
-	for i < len(args) {
-		switch strings.ToUpper(args[i]) {
-		case "COUNT":
-			if i+1 >= len(args) {
-				return resp.Err("ERR syntax error")
-			}
-			n, err := strconv.Atoi(args[i+1])
-			if err != nil {
-				return resp.Err("ERR value is not an integer or out of range")
-			}
-			count = n
-			i += 2
-		case "BLOCK":
-			if i+1 >= len(args) {
-				return resp.Err("ERR syntax error")
-			}
-			n, err := strconv.ParseInt(args[i+1], 10, 64)
-			if err != nil || n < 0 {
-				return resp.Err("ERR timeout is not an integer or out of range")
-			}
-			blockMs = n
-			i += 2
-		default:
-			goto streams
-		}
+func cmdXGroup(s *Server, args []string) resp.Value {
+	if !strings.EqualFold(args[0], "CREATE") || len(args) < 4 {
+		return resp.Errf("ERR Unknown XGROUP subcommand or wrong number of arguments for '%s'", args[0])
 	}
-streams:
-	keys, idStrs, err := parseStreamsClause(args, i)
+	key, groupName, idStr := args[1], args[2], args[3]
+	mkstream := len(args) >= 5 && strings.EqualFold(args[4], "MKSTREAM")
+	e, err := s.db.streamFor(key, mkstream, time.Now())
 	if err != nil {
 		return errValue(err)
 	}
-	now := time.Now()
-	from := make([]StreamID, len(keys))
-	for j, idStr := range idStrs {
-		if idStr == "$" {
-			e, lerr := s.db.lookupKind(keys[j], kindStream, now)
-			if lerr != nil {
-				return errValue(lerr)
-			}
-			if e != nil {
-				from[j] = e.stream.lastID
-			}
-			continue
-		}
-		from[j], err = parseStreamID(idStr, 0)
-		if err != nil {
+	if e == nil {
+		return resp.Err("ERR The XGROUP subcommand requires the key to exist. Note that for CREATE you may want to use the MKSTREAM option to create an empty stream automatically.")
+	}
+	st := e.stream
+	if _, dup := st.groups[groupName]; dup {
+		return resp.Err("BUSYGROUP Consumer Group name already exists")
+	}
+	last := st.lastID
+	if idStr != "$" {
+		if last, err = parseStreamID(idStr, 0); err != nil {
 			return errValue(err)
 		}
 	}
-
-	var deadline time.Time
-	if blockMs > 0 {
-		deadline = time.Now().Add(time.Duration(blockMs) * time.Millisecond)
-	}
-	for {
-		var out []resp.Value
-		for j, key := range keys {
-			e, lerr := s.db.lookupKind(key, kindStream, time.Now())
-			if lerr != nil {
-				return errValue(lerr)
-			}
-			if e == nil {
-				continue
-			}
-			entries := e.stream.rangeEntries(from[j].Next(), maxStreamID, count)
-			if len(entries) > 0 {
-				out = append(out, resp.Arr(resp.Str(key), entriesValue(entries)))
-			}
-		}
-		if len(out) > 0 {
-			return resp.Arr(out...)
-		}
-		if blockMs < 0 {
-			return resp.NilArray()
-		}
-		if !s.awaitKeys(keys, deadline) {
-			return resp.NilArray()
-		}
-	}
-}
-
-func cmdXGroup(s *Server, args []string) resp.Value {
-	sub := strings.ToUpper(args[0])
-	now := time.Now()
-	switch sub {
-	case "CREATE":
-		if len(args) < 4 {
-			return resp.Err("ERR wrong number of arguments for 'xgroup' command")
-		}
-		key, groupName, idStr := args[1], args[2], args[3]
-		mkstream := len(args) >= 5 && strings.EqualFold(args[4], "MKSTREAM")
-		e, err := s.db.streamFor(key, mkstream, now)
-		if err != nil {
-			return errValue(err)
-		}
-		if e == nil {
-			return resp.Err("ERR The XGROUP subcommand requires the key to exist. Note that for CREATE you may want to use the MKSTREAM option to create an empty stream automatically.")
-		}
-		st := e.stream
-		if _, dup := st.groups[groupName]; dup {
-			return resp.Err("BUSYGROUP Consumer Group name already exists")
-		}
-		var last StreamID
-		if idStr == "$" {
-			last = st.lastID
-		} else {
-			var perr error
-			last, perr = parseStreamID(idStr, 0)
-			if perr != nil {
-				return errValue(perr)
-			}
-		}
-		st.groups[groupName] = newGroup(last)
-		return resp.OK
-	case "DESTROY":
-		if len(args) != 3 {
-			return resp.Err("ERR wrong number of arguments for 'xgroup' command")
-		}
-		e, err := s.db.lookupKind(args[1], kindStream, now)
-		if err != nil {
-			return errValue(err)
-		}
-		if e == nil {
-			return resp.Int(0)
-		}
-		if _, ok := e.stream.groups[args[2]]; !ok {
-			return resp.Int(0)
-		}
-		delete(e.stream.groups, args[2])
-		return resp.Int(1)
-	case "CREATECONSUMER":
-		if len(args) != 4 {
-			return resp.Err("ERR wrong number of arguments for 'xgroup' command")
-		}
-		g, errv := lookupGroup(s, args[1], args[2], now)
-		if errv != nil {
-			return *errv
-		}
-		if _, exists := g.consumers[args[3]]; exists {
-			return resp.Int(0)
-		}
-		g.consumerNamed(args[3], now)
-		return resp.Int(1)
-	case "DELCONSUMER":
-		if len(args) != 4 {
-			return resp.Err("ERR wrong number of arguments for 'xgroup' command")
-		}
-		g, errv := lookupGroup(s, args[1], args[2], now)
-		if errv != nil {
-			return *errv
-		}
-		c, exists := g.consumers[args[3]]
-		if !exists {
-			return resp.Int(0)
-		}
-		n := int64(len(c.pending))
-		for id := range c.pending {
-			delete(g.pending, id)
-		}
-		delete(g.consumers, args[3])
-		return resp.Int(n)
-	case "SETID":
-		if len(args) != 4 {
-			return resp.Err("ERR wrong number of arguments for 'xgroup' command")
-		}
-		g, errv := lookupGroup(s, args[1], args[2], now)
-		if errv != nil {
-			return *errv
-		}
-		var last StreamID
-		if args[3] == "$" {
-			e, _ := s.db.lookupKind(args[1], kindStream, now)
-			last = e.stream.lastID
-		} else {
-			var perr error
-			last, perr = parseStreamID(args[3], 0)
-			if perr != nil {
-				return errValue(perr)
-			}
-		}
-		g.lastDelivered = last
-		return resp.OK
-	default:
-		return resp.Errf("ERR Unknown XGROUP subcommand or wrong number of arguments for '%s'", args[0])
-	}
+	st.groups[groupName] = newGroup(last)
+	return resp.OK
 }
 
 // lookupGroup finds a stream consumer group or returns the appropriate error
@@ -455,7 +229,6 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 	groupName, consumerName := args[1], args[2]
 	count := 0
 	blockMs := int64(-1)
-	noack := false
 	i := 3
 	for i < len(args) {
 		switch strings.ToUpper(args[i]) {
@@ -479,9 +252,6 @@ func cmdXReadGroup(s *Server, args []string) resp.Value {
 			}
 			blockMs = n
 			i += 2
-		case "NOACK":
-			noack = true
-			i++
 		default:
 			goto streams
 		}
@@ -548,15 +318,12 @@ streams:
 			c.activeTime = now
 			for _, se := range entries {
 				g.lastDelivered = se.id
-				g.entriesRead++
-				if !noack {
-					g.pending[se.id] = &pendingEntry{
-						consumer:      consumerName,
-						deliveryTime:  now,
-						deliveryCount: 1,
-					}
-					c.pending[se.id] = struct{}{}
+				g.pending[se.id] = &pendingEntry{
+					consumer:      consumerName,
+					deliveryTime:  now,
+					deliveryCount: 1,
 				}
+				c.pending[se.id] = struct{}{}
 			}
 			out = append(out, resp.Arr(resp.Str(key), entriesValue(entries)))
 		}
@@ -708,9 +475,6 @@ func cmdXClaim(s *Server, args []string) resp.Value {
 			justID = true
 			continue
 		}
-		if strings.EqualFold(a, "FORCE") {
-			continue // FORCE accepted; claimed entries must still exist below
-		}
 		id, perr := parseStreamID(a, 0)
 		if perr != nil {
 			return errValue(perr)
@@ -839,25 +603,6 @@ func cmdXAutoClaim(s *Server, args []string) resp.Value {
 	return resp.Arr(resp.Str(cursor), resp.Arr(claimed...), resp.Arr(deletedIDs...))
 }
 
-func cmdXDel(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindStream, time.Now())
-	if err != nil {
-		return errValue(err)
-	}
-	if e == nil {
-		return resp.Int(0)
-	}
-	ids := make([]StreamID, 0, len(args)-1)
-	for _, idStr := range args[1:] {
-		id, perr := parseStreamID(idStr, 0)
-		if perr != nil {
-			return errValue(perr)
-		}
-		ids = append(ids, id)
-	}
-	return resp.Int(e.stream.delete(ids))
-}
-
 func cmdXTrim(s *Server, args []string) resp.Value {
 	e, err := s.db.lookupKind(args[0], kindStream, time.Now())
 	if err != nil {
@@ -885,97 +630,28 @@ func cmdXTrim(s *Server, args []string) resp.Value {
 }
 
 func cmdXInfo(s *Server, args []string) resp.Value {
-	now := time.Now()
-	sub := strings.ToUpper(args[0])
-	switch sub {
-	case "STREAM":
-		if len(args) != 2 {
-			return resp.Err("ERR wrong number of arguments for 'xinfo' command")
-		}
-		e, err := s.db.lookupKind(args[1], kindStream, now)
-		if err != nil {
-			return errValue(err)
-		}
-		if e == nil {
-			return resp.Err("ERR no such key")
-		}
-		st := e.stream
-		return resp.Arr(
-			resp.Str("length"), resp.Int(int64(len(st.entries))),
-			resp.Str("last-generated-id"), resp.Str(st.lastID.String()),
-			resp.Str("max-deleted-entry-id"), resp.Str(st.maxDeleted.String()),
-			resp.Str("entries-added"), resp.Int(st.added),
-			resp.Str("groups"), resp.Int(int64(len(st.groups))),
-		)
-	case "GROUPS":
-		if len(args) != 2 {
-			return resp.Err("ERR wrong number of arguments for 'xinfo' command")
-		}
-		e, err := s.db.lookupKind(args[1], kindStream, now)
-		if err != nil {
-			return errValue(err)
-		}
-		if e == nil {
-			return resp.Err("ERR no such key")
-		}
-		names := make([]string, 0, len(e.stream.groups))
-		for name := range e.stream.groups {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		rows := make([]resp.Value, len(names))
-		for i, name := range names {
-			g := e.stream.groups[name]
-			rows[i] = resp.Arr(
-				resp.Str("name"), resp.Str(name),
-				resp.Str("consumers"), resp.Int(int64(len(g.consumers))),
-				resp.Str("pending"), resp.Int(int64(len(g.pending))),
-				resp.Str("last-delivered-id"), resp.Str(g.lastDelivered.String()),
-				resp.Str("entries-read"), resp.Int(g.entriesRead),
-			)
-		}
-		return resp.Arr(rows...)
-	case "CONSUMERS":
-		if len(args) != 3 {
-			return resp.Err("ERR wrong number of arguments for 'xinfo' command")
-		}
-		g, errv := lookupGroup(s, args[1], args[2], now)
-		if errv != nil {
-			return *errv
-		}
-		names := make([]string, 0, len(g.consumers))
-		for name := range g.consumers {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		rows := make([]resp.Value, len(names))
-		for i, name := range names {
-			c := g.consumers[name]
-			rows[i] = resp.Arr(
-				resp.Str("name"), resp.Str(name),
-				resp.Str("pending"), resp.Int(int64(len(c.pending))),
-				resp.Str("idle"), resp.Int(int64(now.Sub(c.seenTime)/time.Millisecond)),
-				resp.Str("inactive"), resp.Int(int64(now.Sub(c.activeTime)/time.Millisecond)),
-			)
-		}
-		return resp.Arr(rows...)
-	default:
+	if !strings.EqualFold(args[0], "CONSUMERS") {
 		return resp.Errf("ERR Unknown XINFO subcommand or wrong number of arguments for '%s'", args[0])
 	}
-}
-
-func cmdXSetID(s *Server, args []string) resp.Value {
-	e, err := s.db.lookupKind(args[0], kindStream, time.Now())
-	if err != nil {
-		return errValue(err)
+	now := time.Now()
+	g, errv := lookupGroup(s, args[1], args[2], now)
+	if errv != nil {
+		return *errv
 	}
-	if e == nil {
-		return resp.Err("ERR The XSETID command requires the key to exist.")
+	names := make([]string, 0, len(g.consumers))
+	for name := range g.consumers {
+		names = append(names, name)
 	}
-	id, perr := parseStreamID(args[1], 0)
-	if perr != nil {
-		return errValue(perr)
+	sort.Strings(names)
+	rows := make([]resp.Value, len(names))
+	for i, name := range names {
+		c := g.consumers[name]
+		rows[i] = resp.Arr(
+			resp.Str("name"), resp.Str(name),
+			resp.Str("pending"), resp.Int(int64(len(c.pending))),
+			resp.Str("idle"), resp.Int(int64(now.Sub(c.seenTime)/time.Millisecond)),
+			resp.Str("inactive"), resp.Int(int64(now.Sub(c.activeTime)/time.Millisecond)),
+		)
 	}
-	e.stream.lastID = id
-	return resp.OK
+	return resp.Arr(rows...)
 }

@@ -165,9 +165,9 @@ func TestFenceXAckNoGroup(t *testing.T) {
 	}
 }
 
-// TestSinkAppend: a whole output batch (counter increment, stream entries,
-// list pushes) lands atomically behind one ledger gate, and a duplicate
-// applies none of it.
+// TestSinkAppend: a whole output batch (counter increment, stream entries)
+// lands atomically behind one ledger gate, and a duplicate applies none of
+// it. Subcommands outside the XADD/INCRBY whitelist are rejected.
 func TestSinkAppend(t *testing.T) {
 	_, cl := newPair(t)
 
@@ -175,7 +175,6 @@ func TestSinkAppend(t *testing.T) {
 		{"INCRBY", "pending", "2"},
 		{"XADD", "q", "*", "task", "payload-1"},
 		{"XADD", "q", "*", "task", "payload-2"},
-		{"RPUSH", "priv", "frame-a", "frame-b"},
 	}
 	applied, err := cl.SinkAppend("st", "gate:1", batch)
 	if err != nil || !applied {
@@ -186,9 +185,6 @@ func TestSinkAppend(t *testing.T) {
 	}
 	if n, _ := cl.XLen("q"); n != 2 {
 		t.Fatalf("stream len=%d want 2", n)
-	}
-	if n, _ := cl.LLen("priv"); n != 2 {
-		t.Fatalf("list len=%d want 2", n)
 	}
 
 	applied, err = cl.SinkAppend("st", "gate:1", batch)
@@ -209,6 +205,16 @@ func TestSinkAppend(t *testing.T) {
 	}
 	if cnt, ok, _ := cl.HGet("st", "gate:2"); !ok || cnt != "1" {
 		t.Fatalf("empty-batch gate: %q %v", cnt, ok)
+	}
+
+	// RPUSH is not a SINKAPPEND subcommand: the batch fails unapplied.
+	var se redisclient.ServerError
+	_, err = cl.SinkAppend("st", "gate:3", [][]string{{"RPUSH", "priv", "frame-a"}})
+	if !errors.As(err, &se) || !strings.Contains(string(se), "unsupported subcommand") {
+		t.Fatalf("RPUSH subcommand: %v", err)
+	}
+	if _, ok, _ := cl.HGet("st", "gate:3"); ok {
+		t.Fatal("rejected batch recorded its gate")
 	}
 }
 
@@ -233,18 +239,18 @@ func TestSinkAppendValidateAllThenApply(t *testing.T) {
 	}
 
 	// Type conflicts are caught during validation too.
-	if _, err := cl.RPush("q", "now-a-list"); err != nil {
+	if err := cl.HSet("q", "f", "now-a-hash"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.SinkAppend("st", "gate", [][]string{{"XADD", "q", "*", "f", "v"}}); !errors.As(err, &se) {
-		t.Fatalf("XADD onto list: %v", err)
+	if _, err := cl.SinkAppend("st", "gate", [][]string{{"XADD", "q", "*", "f", "v"}}); !errors.As(err, &se) || !strings.HasPrefix(string(se), "WRONGTYPE") {
+		t.Fatalf("XADD onto hash: %v", err)
 	}
 	// Explicit IDs are rejected: only the auto-ID form the transport emits.
 	if _, err := cl.SinkAppend("st", "gate", [][]string{{"XADD", "q2", "1-1", "f", "v"}}); !errors.As(err, &se) {
 		t.Fatalf("explicit-ID XADD: %v", err)
 	}
 	// Malformed framing (bad argv count) is rejected.
-	if _, err := cl.Do("SINKAPPEND", "st", "gate", "1", "5", "RPUSH", "k", "v"); !errors.As(err, &se) {
+	if _, err := cl.Do("SINKAPPEND", "st", "gate", "1", "5", "INCRBY", "k", "1"); !errors.As(err, &se) {
 		t.Fatalf("bad framing: %v", err)
 	}
 	if _, ok, _ := cl.HGet("st", "gate"); ok {

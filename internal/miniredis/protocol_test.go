@@ -52,10 +52,10 @@ func TestInlinePing(t *testing.T) {
 
 func TestPipelinedBurst(t *testing.T) {
 	conn, r := rawConn(t)
-	// Send 50 INCRs in one write; replies must come back in order.
+	// Send 50 INCRBYs in one write; replies must come back in order.
 	var sb strings.Builder
 	for i := 0; i < 50; i++ {
-		sb.WriteString("*2\r\n$4\r\nINCR\r\n$1\r\nn\r\n")
+		sb.WriteString("*3\r\n$6\r\nINCRBY\r\n$1\r\nn\r\n$1\r\n1\r\n")
 	}
 	if _, err := conn.Write([]byte(sb.String())); err != nil {
 		t.Fatal(err)
@@ -66,6 +66,16 @@ func TestPipelinedBurst(t *testing.T) {
 			t.Fatalf("pipelined reply %d: %q", i, got)
 		}
 	}
+}
+
+// respCommand frames argv as a RESP array of bulk strings.
+func respCommand(argv ...string) string {
+	var sb strings.Builder
+	sb.WriteString("*" + itoa(len(argv)) + "\r\n")
+	for _, a := range argv {
+		sb.WriteString("$" + itoa(len(a)) + "\r\n" + a + "\r\n")
+	}
+	return sb.String()
 }
 
 func itoa(n int) string {
@@ -143,18 +153,33 @@ func TestServerCloseUnblocksBlockedClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Block on an empty list with no timeout, then close the server.
-	if _, err := conn.Write([]byte("*3\r\n$5\r\nBLPOP\r\n$1\r\nq\r\n$1\r\n0\r\n")); err != nil {
+	r := bufio.NewReader(conn)
+	// Block on an empty group stream with no timeout, then close the server.
+	if _, err := conn.Write([]byte(respCommand("XGROUP", "CREATE", "q", "g", "$", "MKSTREAM"))); err != nil {
 		srv.Close()
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if got := readLine(t, r); got != "+OK" {
+		srv.Close()
+		t.Fatalf("XGROUP CREATE: %q", got)
+	}
+	if _, err := conn.Write([]byte(respCommand("XREADGROUP", "GROUP", "g", "c", "BLOCK", "0", "STREAMS", "q", ">"))); err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	// The read must actually block: no reply arrives before Close.
+	conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	if _, err := r.ReadByte(); err == nil {
+		srv.Close()
+		t.Fatal("XREADGROUP BLOCK 0 replied on an empty stream")
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		buf := make([]byte, 64)
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		_, _ = conn.Read(buf) // nil-array reply or EOF; either unblocks us
+		_, _ = r.Read(buf) // nil-array reply or EOF; either unblocks us
 	}()
 	srv.Close()
 	select {

@@ -41,9 +41,10 @@ func TestPingEcho(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	v, err := cl.Do("ECHO", "hello world")
+	// PING with a message echoes it back.
+	v, err := cl.Do("PING", "hello world")
 	if err != nil || v.Str != "hello world" {
-		t.Fatalf("ECHO: %q %v", v.Str, err)
+		t.Fatalf("PING message: %q %v", v.Str, err)
 	}
 }
 
@@ -60,27 +61,15 @@ func TestStringCommands(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("GET missing: ok=%v err=%v", ok, err)
 	}
-	n, err := cl.Incr("ctr")
-	mustInt(t, n, err, 1, "INCR fresh")
+	n, err := cl.IncrBy("ctr", 1)
+	mustInt(t, n, err, 1, "INCRBY fresh")
 	n, err = cl.IncrBy("ctr", 41)
 	mustInt(t, n, err, 42, "INCRBY")
-	n, err = cl.DoInt("DECRBY", "ctr", "2")
-	mustInt(t, n, err, 40, "DECRBY")
-	n, err = cl.DoInt("APPEND", "k", "-more")
-	mustInt(t, n, err, int64(len("v1-more")), "APPEND")
-	n, err = cl.DoInt("STRLEN", "k")
-	mustInt(t, n, err, int64(len("v1-more")), "STRLEN")
-
-	// MSET/MGET round trip including a hole.
-	if _, err := cl.Do("MSET", "a", "1", "b", "2"); err != nil {
-		t.Fatal(err)
-	}
-	v, err := cl.Do("MGET", "a", "nope", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Array) != 3 || v.Array[0].Str != "1" || !v.Array[1].IsNull() || v.Array[2].Str != "2" {
-		t.Fatalf("MGET: %+v", v)
+	n, err = cl.IncrBy("ctr", -2)
+	mustInt(t, n, err, 40, "INCRBY negative")
+	// INCRBY on a non-integer string is an error, not a reset.
+	if _, err := cl.IncrBy("k", 1); err == nil {
+		t.Fatal("INCRBY on a non-integer value must fail")
 	}
 }
 
@@ -105,108 +94,10 @@ func TestWrongTypeErrors(t *testing.T) {
 	if err := cl.Set("str", "x"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := cl.RPush("str", "a")
+	err := cl.HSet("str", "f", "v")
 	var se redisclient.ServerError
 	if !errors.As(err, &se) || !strings.HasPrefix(string(se), "WRONGTYPE") {
 		t.Fatalf("expected WRONGTYPE, got %v", err)
-	}
-}
-
-func TestListCommands(t *testing.T) {
-	_, cl := newPair(t)
-	n, err := cl.RPush("q", "a", "b", "c")
-	mustInt(t, n, err, 3, "RPUSH")
-	n, err = cl.LPush("q", "z")
-	mustInt(t, n, err, 4, "LPUSH")
-	n, err = cl.LLen("q")
-	mustInt(t, n, err, 4, "LLEN")
-
-	v, err := cl.Do("LRANGE", "q", "0", "-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"z", "a", "b", "c"}
-	for i, w := range want {
-		if v.Array[i].Str != w {
-			t.Fatalf("LRANGE[%d]=%q want %q", i, v.Array[i].Str, w)
-		}
-	}
-	s, ok, err := cl.LPop("q")
-	if err != nil || !ok || s != "z" {
-		t.Fatalf("LPOP: %q %v %v", s, ok, err)
-	}
-	s, ok, err = cl.DoString("RPOP", "q")
-	if err != nil || !ok || s != "c" {
-		t.Fatalf("RPOP: %q %v %v", s, ok, err)
-	}
-	s, ok, err = cl.DoString("LINDEX", "q", "-1")
-	if err != nil || !ok || s != "b" {
-		t.Fatalf("LINDEX: %q %v %v", s, ok, err)
-	}
-	if _, err := cl.Do("LTRIM", "q", "0", "0"); err != nil {
-		t.Fatal(err)
-	}
-	n, err = cl.LLen("q")
-	mustInt(t, n, err, 1, "LLEN after LTRIM")
-	// Popping the last element removes the key.
-	if _, _, err := cl.LPop("q"); err != nil {
-		t.Fatal(err)
-	}
-	n, err = cl.DoInt("EXISTS", "q")
-	mustInt(t, n, err, 0, "EXISTS after drain")
-}
-
-func TestBLPopImmediate(t *testing.T) {
-	_, cl := newPair(t)
-	if _, err := cl.RPush("q", "x"); err != nil {
-		t.Fatal(err)
-	}
-	key, val, ok, err := cl.BLPop(time.Second, "q")
-	if err != nil || !ok || key != "q" || val != "x" {
-		t.Fatalf("BLPOP: %q %q %v %v", key, val, ok, err)
-	}
-}
-
-func TestBLPopBlocksUntilPush(t *testing.T) {
-	srv, cl := newPair(t)
-	pusher := redisclient.Dial(srv.Addr())
-	defer pusher.Close()
-
-	done := make(chan string, 1)
-	go func() {
-		_, val, ok, err := cl.BLPop(5*time.Second, "q")
-		if err != nil || !ok {
-			done <- "error"
-			return
-		}
-		done <- val
-	}()
-	time.Sleep(30 * time.Millisecond)
-	if _, err := pusher.RPush("q", "late"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-done:
-		if got != "late" {
-			t.Fatalf("BLPOP woke with %q", got)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("BLPOP did not wake")
-	}
-}
-
-func TestBLPopTimesOut(t *testing.T) {
-	_, cl := newPair(t)
-	start := time.Now()
-	_, _, ok, err := cl.BLPop(80*time.Millisecond, "empty")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("BLPOP returned a value from an empty list")
-	}
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Fatalf("BLPOP returned too quickly: %v", elapsed)
 	}
 }
 
@@ -225,31 +116,21 @@ func TestHashCommands(t *testing.T) {
 	}
 	n, err := cl.DoInt("HLEN", "h")
 	mustInt(t, n, err, 2, "HLEN")
-	n, err = cl.DoInt("HEXISTS", "h", "f2")
-	mustInt(t, n, err, 1, "HEXISTS")
 	n, err = cl.DoInt("HINCRBY", "h", "count", "5")
 	mustInt(t, n, err, 5, "HINCRBY fresh")
 	n, err = cl.DoInt("HDEL", "h", "f1", "f9")
 	mustInt(t, n, err, 1, "HDEL")
-	v, err := cl.Do("HMGET", "h", "f2", "gone")
-	if err != nil || v.Array[0].Str != "v2" || !v.Array[1].IsNull() {
-		t.Fatalf("HMGET: %+v %v", v, err)
+	keys, err := cl.HKeys("h")
+	if err != nil || len(keys) != 2 || keys[0] != "count" || keys[1] != "f2" {
+		t.Fatalf("HKEYS: %v %v", keys, err)
 	}
-}
-
-func TestSetCommands(t *testing.T) {
-	_, cl := newPair(t)
-	n, err := cl.DoInt("SADD", "s", "a", "b", "a")
-	mustInt(t, n, err, 2, "SADD")
-	n, err = cl.DoInt("SCARD", "s")
-	mustInt(t, n, err, 2, "SCARD")
-	n, err = cl.DoInt("SISMEMBER", "s", "a")
-	mustInt(t, n, err, 1, "SISMEMBER present")
-	n, err = cl.DoInt("SREM", "s", "a")
-	mustInt(t, n, err, 1, "SREM")
-	v, err := cl.Do("SMEMBERS", "s")
-	if err != nil || len(v.Array) != 1 || v.Array[0].Str != "b" {
-		t.Fatalf("SMEMBERS: %+v %v", v, err)
+	// Deleting the last field removes the key.
+	if _, err := cl.HDel("h", "count", "f2"); err != nil {
+		t.Fatal(err)
+	}
+	v, err := cl.Do("KEYS", "h")
+	if err != nil || len(v.Array) != 0 {
+		t.Fatalf("emptied hash still listed: %+v %v", v, err)
 	}
 }
 
@@ -261,51 +142,49 @@ func TestGenericCommands(t *testing.T) {
 	if err := cl.Set("two", "2"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := cl.DoInt("EXISTS", "one", "two", "three")
-	mustInt(t, n, err, 2, "EXISTS multi")
-	v, err := cl.Do("TYPE", "one")
-	if err != nil || v.Str != "string" {
-		t.Fatalf("TYPE: %+v %v", v, err)
-	}
-	v, err = cl.Do("KEYS", "*")
-	if err != nil || len(v.Array) != 2 {
-		t.Fatalf("KEYS: %+v %v", v, err)
-	}
-	n, err = cl.DoInt("DEL", "one", "nope")
-	mustInt(t, n, err, 1, "DEL")
-	n, err = cl.DoInt("DBSIZE")
-	mustInt(t, n, err, 1, "DBSIZE")
-	if err := cl.FlushAll(); err != nil {
+	if err := cl.HSet("ns/pe", "f", "v"); err != nil {
 		t.Fatal(err)
 	}
-	n, err = cl.DoInt("DBSIZE")
-	mustInt(t, n, err, 0, "DBSIZE after FLUSHALL")
+	v, err := cl.Do("KEYS", "*")
+	if err != nil || len(v.Array) != 2 || v.Array[0].Str != "one" || v.Array[1].Str != "two" {
+		t.Fatalf("KEYS *: %+v %v", v, err)
+	}
+	// Patterns match path-wise: '*' stops at '/'.
+	v, err = cl.Do("KEYS", "*/*")
+	if err != nil || len(v.Array) != 1 || v.Array[0].Str != "ns/pe" {
+		t.Fatalf("KEYS */*: %+v %v", v, err)
+	}
+	n, err := cl.DoInt("DEL", "one", "nope")
+	mustInt(t, n, err, 1, "DEL")
+	v, err = cl.Do("INFO")
+	if err != nil || !strings.Contains(v.Str, "total_commands_processed:") || !strings.Contains(v.Str, "db0:keys=2") {
+		t.Fatalf("INFO: %q %v", v.Str, err)
+	}
 }
 
 func TestExpiry(t *testing.T) {
 	_, cl := newPair(t)
-	if err := cl.Set("k", "v"); err != nil {
+	if _, err := cl.Do("SET", "k", "v", "PX", "40"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := cl.DoInt("PEXPIRE", "k", "40")
-	mustInt(t, n, err, 1, "PEXPIRE")
-	n, err = cl.DoInt("PTTL", "k")
-	if err != nil || n <= 0 || n > 40 {
-		t.Fatalf("PTTL: %d %v", n, err)
+	if err := cl.Set("p", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if s, ok, err := cl.Get("k"); err != nil || !ok || s != "v" {
+		t.Fatalf("key before expiry: %q %v %v", s, ok, err)
 	}
 	time.Sleep(60 * time.Millisecond)
 	_, ok, err := cl.Get("k")
 	if err != nil || ok {
 		t.Fatalf("expired key still visible: ok=%v err=%v", ok, err)
 	}
-	// TTL of missing key is -2; of a persistent key is -1.
-	n, err = cl.DoInt("TTL", "k")
-	mustInt(t, n, err, -2, "TTL missing")
-	if err := cl.Set("p", "v"); err != nil {
-		t.Fatal(err)
+	// An expired key frees its name for SET NX; a key without a TTL stays.
+	if ok, err := cl.SetNX("k", "again", 0); err != nil || !ok {
+		t.Fatalf("SET NX after expiry: %v %v", ok, err)
 	}
-	n, err = cl.DoInt("TTL", "p")
-	mustInt(t, n, err, -1, "TTL persistent")
+	if s, ok, err := cl.Get("p"); err != nil || !ok || s != "v" {
+		t.Fatalf("persistent key: %q %v %v", s, ok, err)
+	}
 }
 
 func TestUnknownCommandAndArity(t *testing.T) {
@@ -332,8 +211,8 @@ func TestConcurrentClients(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := cl.Incr("shared"); err != nil {
-					t.Errorf("INCR: %v", err)
+				if _, err := cl.IncrBy("shared", 1); err != nil {
+					t.Errorf("INCRBY: %v", err)
 					return
 				}
 			}

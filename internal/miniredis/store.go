@@ -3,13 +3,23 @@
 // hybrid_redis mappings require a Redis 5+ server with Streams and consumer
 // groups, and this reproduction must be self-contained (stdlib only).
 //
-// The implemented command surface covers strings, lists (including blocking
-// pops), hashes, sets, key management with lazy expiry, and streams with
-// consumer groups (XADD, XREADGROUP, XACK, XPENDING, XCLAIM, XAUTOCLAIM,
-// XINFO, ...). Semantics follow the Redis documentation closely enough that
-// generic RESP tooling can talk to the server, but exotic options outside the
-// needs of the workflow engine are rejected with clear errors rather than
-// silently misbehaving.
+// The server implements exactly the protocol the workflow engine speaks:
+// three key types (strings, hashes, streams) and these commands:
+//
+//	connection  PING, QUIT
+//	keys        DEL, KEYS, INFO
+//	strings     GET, SET [NX|XX] [EX s|PX ms], INCRBY
+//	hashes      HSET, HGET, HDEL, HGETALL, HKEYS, HLEN, HINCRBY
+//	streams     XADD [MAXLEN n], XLEN, XTRIM MAXLEN,
+//	            XGROUP CREATE [MKSTREAM], XREADGROUP, XACK, XPENDING,
+//	            XCLAIM, XAUTOCLAIM, XINFO CONSUMERS
+//	compounds   FENCEAPPLY, FENCEXACK, SINKAPPEND (see cmd_compound.go)
+//
+// Keys set with EX/PX expire lazily on access. Semantics follow the Redis
+// documentation closely enough that generic RESP tooling can talk to the
+// server; any other command is answered with "ERR unknown command", and
+// options outside the engine's needs are rejected with clear errors rather
+// than silently misbehaving.
 package miniredis
 
 import (
@@ -25,36 +35,15 @@ type keyKind uint8
 
 const (
 	kindString keyKind = iota
-	kindList
 	kindHash
-	kindSet
 	kindStream
 )
-
-func (k keyKind) String() string {
-	switch k {
-	case kindString:
-		return "string"
-	case kindList:
-		return "list"
-	case kindHash:
-		return "hash"
-	case kindSet:
-		return "set"
-	case kindStream:
-		return "stream"
-	default:
-		return "unknown"
-	}
-}
 
 // entry is one keyspace slot.
 type entry struct {
 	kind     keyKind
 	str      string
-	list     []string
 	hash     map[string]string
-	set      map[string]struct{}
 	stream   *stream
 	expireAt time.Time // zero means no TTL
 }
@@ -63,8 +52,7 @@ func (e *entry) expired(now time.Time) bool {
 	return !e.expireAt.IsZero() && now.After(e.expireAt)
 }
 
-// db is a single keyspace. The server owns exactly one (SELECT is accepted
-// and ignored, like many embedded Redis stand-ins).
+// db is a single keyspace. The server owns exactly one.
 type db struct {
 	keys map[string]*entry
 }
@@ -188,7 +176,6 @@ type group struct {
 	lastDelivered StreamID
 	pending       map[StreamID]*pendingEntry
 	consumers     map[string]*consumer
-	entriesRead   int64
 }
 
 func newGroup(last StreamID) *group {
@@ -225,11 +212,9 @@ func (g *group) sortedPending(onlyConsumer string) []StreamID {
 
 // stream is the stream datatype: an append-only log plus consumer groups.
 type stream struct {
-	entries    []streamEntry // ascending by id
-	lastID     StreamID
-	maxDeleted StreamID
-	added      int64 // entries-added counter (survives XDEL/XTRIM)
-	groups     map[string]*group
+	entries []streamEntry // ascending by id
+	lastID  StreamID
+	groups  map[string]*group
 }
 
 func newStream() *stream {
@@ -240,7 +225,6 @@ func newStream() *stream {
 func (s *stream) add(id StreamID, fields []string) {
 	s.entries = append(s.entries, streamEntry{id: id, fields: fields})
 	s.lastID = id
-	s.added++
 }
 
 // nextAutoID computes the ID "*"" would allocate at wall time now.
@@ -284,33 +268,12 @@ func (s *stream) rangeEntries(from, to StreamID, count int) []streamEntry {
 	return out
 }
 
-// delete removes ids that exist, returning how many were removed.
-func (s *stream) delete(ids []StreamID) int64 {
-	var removed int64
-	for _, id := range ids {
-		i := s.searchIdx(id)
-		if i < len(s.entries) && s.entries[i].id == id {
-			s.entries = append(s.entries[:i], s.entries[i+1:]...)
-			if s.maxDeleted.Less(id) {
-				s.maxDeleted = id
-			}
-			removed++
-		}
-	}
-	return removed
-}
-
 // trimMaxLen keeps only the newest max entries, returning evicted count.
 func (s *stream) trimMaxLen(max int64) int64 {
 	if int64(len(s.entries)) <= max {
 		return 0
 	}
 	cut := int64(len(s.entries)) - max
-	for _, e := range s.entries[:cut] {
-		if s.maxDeleted.Less(e.id) {
-			s.maxDeleted = e.id
-		}
-	}
 	s.entries = append([]streamEntry(nil), s.entries[cut:]...)
 	return cut
 }

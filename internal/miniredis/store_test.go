@@ -75,7 +75,7 @@ func TestStreamAddAndRange(t *testing.T) {
 	for i := uint64(1); i <= 5; i++ {
 		s.add(StreamID{Ms: i}, []string{"k", "v"})
 	}
-	if s.lastID != (StreamID{Ms: 5}) || s.added != 5 {
+	if s.lastID != (StreamID{Ms: 5}) || len(s.entries) != 5 {
 		t.Errorf("stream meta: %+v", s)
 	}
 	got := s.rangeEntries(StreamID{Ms: 2}, StreamID{Ms: 4}, 0)
@@ -99,15 +99,9 @@ func TestStreamDeleteAndTrim(t *testing.T) {
 	for i := uint64(1); i <= 6; i++ {
 		s.add(StreamID{Ms: i}, nil)
 	}
-	removed := s.delete([]StreamID{{Ms: 2}, {Ms: 99}})
-	if removed != 1 || len(s.entries) != 5 {
-		t.Errorf("delete: %d, %d entries", removed, len(s.entries))
-	}
-	if s.maxDeleted != (StreamID{Ms: 2}) {
-		t.Errorf("maxDeleted: %v", s.maxDeleted)
-	}
+	// Trimming deletes the oldest entries and keeps the ID sequence.
 	evicted := s.trimMaxLen(2)
-	if evicted != 3 || len(s.entries) != 2 {
+	if evicted != 4 || len(s.entries) != 2 {
 		t.Errorf("trim: %d, %d entries", evicted, len(s.entries))
 	}
 	if s.entries[0].id.Ms != 5 {
@@ -115,6 +109,9 @@ func TestStreamDeleteAndTrim(t *testing.T) {
 	}
 	if s.trimMaxLen(10) != 0 {
 		t.Error("trim above length should evict nothing")
+	}
+	if id := s.nextAutoID(time.UnixMilli(0)); id != (StreamID{Ms: 6, Seq: 1}) {
+		t.Errorf("auto ID after trim: %v", id)
 	}
 }
 
@@ -175,45 +172,11 @@ func TestDBLazyExpiry(t *testing.T) {
 func TestLookupKindMismatch(t *testing.T) {
 	d := newDB()
 	d.setString("k", "v")
-	if _, err := d.lookupKind("k", kindList, time.Now()); err == nil {
+	if _, err := d.lookupKind("k", kindHash, time.Now()); err == nil {
 		t.Error("wrong type must error")
 	}
-	e, err := d.lookupKind("missing", kindList, time.Now())
+	e, err := d.lookupKind("missing", kindHash, time.Now())
 	if e != nil || err != nil {
 		t.Error("missing key should be nil, nil")
-	}
-}
-
-func TestKeyKindString(t *testing.T) {
-	names := map[keyKind]string{
-		kindString: "string", kindList: "list", kindHash: "hash",
-		kindSet: "set", kindStream: "stream",
-	}
-	for k, want := range names {
-		if k.String() != want {
-			t.Errorf("%v → %q", k, k.String())
-		}
-	}
-}
-
-func TestClampRange(t *testing.T) {
-	cases := []struct {
-		start, stop, n int
-		i, j           int
-		ok             bool
-	}{
-		{0, -1, 5, 0, 4, true},
-		{1, 3, 5, 1, 3, true},
-		{-2, -1, 5, 3, 4, true},
-		{3, 1, 5, 0, 0, false},
-		{9, 12, 5, 0, 0, false},
-		{0, 99, 5, 0, 4, true},
-	}
-	for _, tc := range cases {
-		i, j, ok := clampRange(tc.start, tc.stop, tc.n)
-		if ok != tc.ok || (ok && (i != tc.i || j != tc.j)) {
-			t.Errorf("clampRange(%d,%d,%d) = %d,%d,%v want %d,%d,%v",
-				tc.start, tc.stop, tc.n, i, j, ok, tc.i, tc.j, tc.ok)
-		}
 	}
 }

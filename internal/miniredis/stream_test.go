@@ -2,6 +2,7 @@ package miniredis_test
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -25,29 +26,41 @@ func TestXAddXLenXRange(t *testing.T) {
 	n, err := cl.XLen("st")
 	mustInt(t, n, err, 2, "XLEN")
 
-	v, err := cl.Do("XRANGE", "st", "-", "+")
-	if err != nil || len(v.Array) != 2 {
-		t.Fatalf("XRANGE: %+v %v", v, err)
+	// Read the entries back, oldest first, through a group created at 0.
+	if err := cl.XGroupCreate("st", "g", "0"); err != nil {
+		t.Fatal(err)
 	}
-	first := v.Array[0]
-	if first.Array[0].Str != id1 {
-		t.Fatalf("first entry id %q want %q", first.Array[0].Str, id1)
+	v, err := cl.Do("XREADGROUP", "GROUP", "g", "c", "STREAMS", "st", ">")
+	if err != nil || len(v.Array) != 1 {
+		t.Fatalf("XREADGROUP: %+v %v", v, err)
 	}
-	fields := first.Array[1]
+	entries := v.Array[0].Array[1].Array
+	if len(entries) != 2 || entries[0].Array[0].Str != id1 || entries[1].Array[0].Str != id2 {
+		t.Fatalf("entries: %+v", entries)
+	}
+	fields := entries[0].Array[1]
 	if fields.Array[0].Str != "k" || fields.Array[1].Str != "v1" {
 		t.Fatalf("first entry fields: %+v", fields)
 	}
+}
 
-	// COUNT limit.
-	v, err = cl.Do("XRANGE", "st", "-", "+", "COUNT", "1")
-	if err != nil || len(v.Array) != 1 {
-		t.Fatalf("XRANGE COUNT: %+v %v", v, err)
+// pendingPerConsumer reads the XPENDING summary form: the group's PEL size
+// and its per-consumer counts.
+func pendingPerConsumer(t *testing.T, cl *redisclient.Client, key, group string) (int64, map[string]int64) {
+	t.Helper()
+	v, err := cl.Do("XPENDING", key, group)
+	if err != nil || len(v.Array) != 4 {
+		t.Fatalf("XPENDING %s %s: %+v %v", key, group, v, err)
 	}
-	// XREVRANGE returns newest first.
-	v, err = cl.Do("XREVRANGE", "st", "+", "-")
-	if err != nil || len(v.Array) != 2 || v.Array[0].Array[0].Str != id2 {
-		t.Fatalf("XREVRANGE: %+v %v", v, err)
+	per := map[string]int64{}
+	for _, row := range v.Array[3].Array {
+		n, err := strconv.ParseInt(row.Array[1].Str, 10, 64)
+		if err != nil {
+			t.Fatalf("XPENDING consumer row %+v: %v", row, err)
+		}
+		per[row.Array[0].Str] = n
 	}
+	return v.Array[0].Int, per
 }
 
 // streamIDLess compares "ms-seq" ids numerically.
@@ -127,19 +140,15 @@ func TestConsumerGroupLifecycle(t *testing.T) {
 		t.Fatalf("XREADGROUP drained: %+v %v", entries, err)
 	}
 
-	sum, err := cl.XPendingSummary("tasks", "workers")
-	if err != nil || sum.Count != 2 {
-		t.Fatalf("XPENDING: %+v %v", sum, err)
-	}
-	if sum.PerConsumer["w1"] != 1 || sum.PerConsumer["w2"] != 1 {
-		t.Fatalf("per-consumer: %+v", sum.PerConsumer)
+	count, per := pendingPerConsumer(t, cl, "tasks", "workers")
+	if count != 2 || per["w1"] != 1 || per["w2"] != 1 {
+		t.Fatalf("XPENDING: %d %+v", count, per)
 	}
 
 	n, err := cl.XAck("tasks", "workers", id1)
 	mustInt(t, n, err, 1, "XACK")
-	sum, err = cl.XPendingSummary("tasks", "workers")
-	if err != nil || sum.Count != 1 {
-		t.Fatalf("XPENDING after ack: %+v %v", sum, err)
+	if count, _ := pendingPerConsumer(t, cl, "tasks", "workers"); count != 1 {
+		t.Fatalf("XPENDING after ack: %d", count)
 	}
 	// Double-ack is a no-op.
 	n, err = cl.XAck("tasks", "workers", id1)
@@ -283,9 +292,8 @@ func TestXClaimAndAutoClaim(t *testing.T) {
 	if err != nil || len(v.Array) != 1 {
 		t.Fatalf("XCLAIM: %+v %v", v, err)
 	}
-	sum, err := cl.XPendingSummary("st", "g")
-	if err != nil || sum.PerConsumer["alive"] != 1 || sum.PerConsumer["dead"] != 0 {
-		t.Fatalf("after claim: %+v %v", sum, err)
+	if _, per := pendingPerConsumer(t, cl, "st", "g"); per["alive"] != 1 || per["dead"] != 0 {
+		t.Fatalf("after claim: %+v", per)
 	}
 
 	// XAUTOCLAIM with huge min-idle claims nothing.
@@ -319,101 +327,27 @@ func TestXInfo(t *testing.T) {
 	if infos[0].Name != "w1" || infos[0].Pending != 1 || infos[0].Idle < 10*time.Millisecond {
 		t.Fatalf("consumer info: %+v", infos[0])
 	}
-	v, err := cl.Do("XINFO", "STREAM", "st")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reply is a flat [name, value, ...] array; index it into a map.
-	props := map[string]string{}
-	for i := 0; i+1 < len(v.Array); i += 2 {
-		props[v.Array[i].Str] = v.Array[i+1].Text()
-	}
-	if props["length"] != "1" || props["groups"] != "1" {
-		t.Fatalf("XINFO STREAM: %+v", props)
-	}
-	v, err = cl.Do("XINFO", "GROUPS", "st")
-	if err != nil || len(v.Array) != 1 {
-		t.Fatalf("XINFO GROUPS: %+v %v", v, err)
+	// An unknown group is NOGROUP, not an empty list.
+	_, err = cl.XInfoConsumers("st", "nosuch")
+	var se redisclient.ServerError
+	if !errors.As(err, &se) || !strings.HasPrefix(string(se), "NOGROUP") {
+		t.Fatalf("XINFO CONSUMERS unknown group: %v", err)
 	}
 }
 
-func TestXDelAndXTrim(t *testing.T) {
+func TestXTrim(t *testing.T) {
 	_, cl := newPair(t)
-	var ids []string
 	for i := 0; i < 5; i++ {
-		id, err := cl.XAddValues("st", "i", "x")
-		if err != nil {
+		if _, err := cl.XAddValues("st", "i", "x"); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
 	}
-	n, err := cl.DoInt("XDEL", "st", ids[0], ids[1], "99999999999-0")
-	mustInt(t, n, err, 2, "XDEL")
-	n, err = cl.XLen("st")
-	mustInt(t, n, err, 3, "XLEN after XDEL")
+	n, err := cl.DoInt("XTRIM", "st", "MAXLEN", "~", "3")
+	mustInt(t, n, err, 2, "XTRIM")
 	n, err = cl.DoInt("XTRIM", "st", "MAXLEN", "1")
 	mustInt(t, n, err, 2, "XTRIM")
 	n, err = cl.XLen("st")
 	mustInt(t, n, err, 1, "XLEN after XTRIM")
-}
-
-func TestXRead(t *testing.T) {
-	_, cl := newPair(t)
-	id1, err := cl.XAddValues("st", "a", "1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, err := cl.XAddValues("st", "a", "2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read everything after 0.
-	v, err := cl.Do("XREAD", "COUNT", "10", "STREAMS", "st", "0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := v.Array[0].Array[1].Array
-	if len(entries) != 2 || entries[0].Array[0].Str != id1 {
-		t.Fatalf("XREAD: %+v", entries)
-	}
-	// Read after id1 returns only id2.
-	v, err = cl.Do("XREAD", "STREAMS", "st", id1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries = v.Array[0].Array[1].Array
-	if len(entries) != 1 || entries[0].Array[0].Str != id2 {
-		t.Fatalf("XREAD after id1: %+v", entries)
-	}
-	// Non-blocking read past the end is a nil array.
-	v, err = cl.Do("XREAD", "STREAMS", "st", id2)
-	if err != nil || !v.IsNull() {
-		t.Fatalf("XREAD drained: %+v %v", v, err)
-	}
-}
-
-func TestXGroupConsumerManagement(t *testing.T) {
-	_, cl := newPair(t)
-	if err := cl.XGroupCreate("st", "g", "0"); err != nil {
-		t.Fatal(err)
-	}
-	n, err := cl.DoInt("XGROUP", "CREATECONSUMER", "st", "g", "w1")
-	mustInt(t, n, err, 1, "CREATECONSUMER")
-	n, err = cl.DoInt("XGROUP", "CREATECONSUMER", "st", "g", "w1")
-	mustInt(t, n, err, 0, "CREATECONSUMER duplicate")
-	// Give w1 a pending entry, then delete the consumer.
-	if _, err := cl.XAddValues("st", "a", "1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.XReadGroup("g", "w1", 1, 0, "st"); err != nil {
-		t.Fatal(err)
-	}
-	n, err = cl.DoInt("XGROUP", "DELCONSUMER", "st", "g", "w1")
-	mustInt(t, n, err, 1, "DELCONSUMER returns pending count")
-	sum, err := cl.XPendingSummary("st", "g")
-	if err != nil || sum.Count != 0 {
-		t.Fatalf("PEL after DELCONSUMER: %+v %v", sum, err)
-	}
-	n, err = cl.DoInt("XGROUP", "DESTROY", "st", "g")
-	mustInt(t, n, err, 1, "DESTROY")
+	n, err = cl.DoInt("XTRIM", "missing", "MAXLEN", "0")
+	mustInt(t, n, err, 0, "XTRIM missing key")
 }

@@ -80,17 +80,26 @@ func TestTypedHelpers(t *testing.T) {
 	if err != nil || all["f"] != "1" {
 		t.Fatalf("HGetAll: %v %v", all, err)
 	}
-	if _, err := cl.RPush("l", "a", "b"); err != nil {
-		t.Fatal(err)
+	if v, ok, err := cl.HGet("h", "f"); err != nil || !ok || v != "1" {
+		t.Fatalf("HGet: %q %v %v", v, ok, err)
 	}
-	if n, err := cl.LLen("l"); err != nil || n != 2 {
-		t.Fatalf("LLen: %d %v", n, err)
+	if n, err := cl.HIncrBy("h", "n", 3); err != nil || n != 3 {
+		t.Fatalf("HIncrBy: %d %v", n, err)
 	}
-	if err := cl.FlushAll(); err != nil {
-		t.Fatal(err)
+	if n, err := cl.HLen("h"); err != nil || n != 2 {
+		t.Fatalf("HLen: %d %v", n, err)
+	}
+	if n, err := cl.HDel("h", "f", "nope"); err != nil || n != 1 {
+		t.Fatalf("HDel: %d %v", n, err)
+	}
+	if ok, err := cl.SetNX("k", "other", time.Second); err != nil || ok {
+		t.Fatalf("SetNX on existing key: %v %v", ok, err)
+	}
+	if n, err := cl.Del("k", "c", "h"); err != nil || n != 3 {
+		t.Fatalf("Del: %d %v", n, err)
 	}
 	if _, ok, _ := cl.Get("k"); ok {
-		t.Error("key survived FlushAll")
+		t.Error("key survived Del")
 	}
 }
 
@@ -110,9 +119,8 @@ func TestStreamHelpers(t *testing.T) {
 	if err != nil || len(entries) != 1 || entries[0].Fields["f"] != "payload" {
 		t.Fatalf("XReadGroup: %+v %v", entries, err)
 	}
-	sum, err := cl.XPendingSummary("st", "g")
-	if err != nil || sum.Count != 1 || sum.PerConsumer["c1"] != 1 {
-		t.Fatalf("XPendingSummary: %+v %v", sum, err)
+	if ids, err := cl.XPendingIDs("st", "g", "c1", 10); err != nil || len(ids) != 1 || ids[0] != id {
+		t.Fatalf("XPendingIDs: %v %v", ids, err)
 	}
 	infos, err := cl.XInfoConsumers("st", "g")
 	if err != nil || len(infos) != 1 || infos[0].Name != "c1" {
@@ -120,10 +128,6 @@ func TestStreamHelpers(t *testing.T) {
 	}
 	if n, err := cl.XAck("st", "g", id); err != nil || n != 1 {
 		t.Fatalf("XAck: %d %v", n, err)
-	}
-	// XAdd from a map form.
-	if _, err := cl.XAdd("st", map[string]string{"k": "v"}); err != nil {
-		t.Fatal(err)
 	}
 	// XAutoClaim empty PEL is a no-op.
 	cursor, claimed, err := cl.XAutoClaim("st", "g", "c2", 0, "0-0", 10)
@@ -155,9 +159,8 @@ func TestXAckBatchedIDs(t *testing.T) {
 	if n, err := cl.XAck("st", "g", ids...); err != nil || n != 5 {
 		t.Fatalf("batched XAck: %d %v, want 5", n, err)
 	}
-	sum, err := cl.XPendingSummary("st", "g")
-	if err != nil || sum.Count != 0 {
-		t.Fatalf("PEL after batched ack: %+v %v", sum, err)
+	if left, err := cl.XPendingIDs("st", "g", "c1", 10); err != nil || len(left) != 0 {
+		t.Fatalf("PEL after batched ack: %v %v", left, err)
 	}
 	// Already-acked and never-delivered IDs count zero, mixed with a live one.
 	id, err := cl.XAddValues("st", "f", "v")
@@ -172,70 +175,6 @@ func TestXAckBatchedIDs(t *testing.T) {
 	}
 }
 
-func TestXAckEach(t *testing.T) {
-	// XAckEach tells the caller WHICH entries its ack removed — the fenced
-	// entry-range ack path maps each removal count onto that entry's packed
-	// task weight, so per-ID resolution is load-bearing.
-	cl := newPair(t)
-	if err := cl.XGroupCreate("st", "g", "0"); err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]string, 0, 3)
-	for i := 0; i < 3; i++ {
-		id, err := cl.XAddValues("st", "f", "v")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	if _, err := cl.XReadGroup("g", "c1", 3, 0, "st"); err != nil {
-		t.Fatal(err)
-	}
-	// Pre-ack the middle entry so the per-ID replies are distinguishable.
-	if _, err := cl.XAck("st", "g", ids[1]); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.XAckEach("st", "g", []string{ids[0], ids[1], ids[2], "99999-0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 0, 1, 0}
-	if len(got) != len(want) {
-		t.Fatalf("XAckEach replies: %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("XAckEach replies: %v, want %v", got, want)
-		}
-	}
-	if out, err := cl.XAckEach("st", "g", nil); err != nil || out != nil {
-		t.Fatalf("empty XAckEach: %v %v, want nil nil", out, err)
-	}
-}
-
-func TestLPopCount(t *testing.T) {
-	cl := newPair(t)
-	if _, err := cl.RPush("q", "a", "b", "c"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.LPopCount("q", 2)
-	if err != nil || len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("LPopCount(2): %v %v", got, err)
-	}
-	// Count past the remaining length drains the list.
-	got, err = cl.LPopCount("q", 10)
-	if err != nil || len(got) != 1 || got[0] != "c" {
-		t.Fatalf("LPopCount(10): %v %v", got, err)
-	}
-	// Empty and missing lists return nil, not an error.
-	if got, err := cl.LPopCount("q", 4); err != nil || len(got) != 0 {
-		t.Fatalf("LPopCount empty: %v %v", got, err)
-	}
-	if got, err := cl.LPopCount("nosuch", 4); err != nil || len(got) != 0 {
-		t.Fatalf("LPopCount missing: %v %v", got, err)
-	}
-}
-
 func TestConcurrentPoolUse(t *testing.T) {
 	cl := newPair(t)
 	var wg sync.WaitGroup
@@ -244,7 +183,7 @@ func TestConcurrentPoolUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := cl.Incr("n"); err != nil {
+				if _, err := cl.IncrBy("n", 1); err != nil {
 					t.Errorf("incr: %v", err)
 					return
 				}
@@ -255,20 +194,5 @@ func TestConcurrentPoolUse(t *testing.T) {
 	s, ok, err := cl.Get("n")
 	if err != nil || !ok || s != "250" {
 		t.Fatalf("final: %q %v %v", s, ok, err)
-	}
-}
-
-func TestBLPopAgainstServer(t *testing.T) {
-	cl := newPair(t)
-	if _, err := cl.RPush("q", "v"); err != nil {
-		t.Fatal(err)
-	}
-	key, val, ok, err := cl.BLPop(time.Second, "q")
-	if err != nil || !ok || key != "q" || val != "v" {
-		t.Fatalf("BLPop: %q %q %v %v", key, val, ok, err)
-	}
-	_, _, ok, err = cl.BLPop(50*time.Millisecond, "q")
-	if err != nil || ok {
-		t.Fatalf("BLPop timeout: %v %v", ok, err)
 	}
 }

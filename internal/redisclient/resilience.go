@@ -62,12 +62,12 @@ func retryableError(err error) bool {
 // qualify. Three groups pass:
 //
 //   - reads, which have no effect to double;
-//   - absolute-effect writes (SET, HSET, DEL, XACK...), where applying twice
-//     equals applying once;
+//   - absolute-effect writes (SET, HSET, DEL, HDEL, XACK, XGROUP CREATE),
+//     where applying twice equals applying once;
 //   - fenced compounds (FENCEAPPLY, SINKAPPEND), where the server-side
 //     applied ledger absorbs the duplicate.
 //
-// Relative-effect writes (INCRBY, XADD, RPUSH, pops, group reads) stay
+// Relative-effect writes (INCRBY, HINCRBY, XADD, group reads and claims) stay
 // single-shot. The classification is argv-aware where it must be: SET..NX is
 // excluded (a lost "acquired" reply would leave the lock stuck while the
 // retry reports failure), and FENCEXACK is retryable only when its direct
@@ -77,18 +77,8 @@ func Retryable(argv []string) bool {
 	if len(argv) == 0 {
 		return false
 	}
-	switch strings.ToUpper(argv[0]) {
-	case "PING", "ECHO", "EXISTS", "TYPE", "KEYS",
-		"GET", "MGET", "STRLEN",
-		"HGET", "HGETALL", "HKEYS", "HVALS", "HLEN", "HEXISTS", "HMGET",
-		"LLEN", "LRANGE", "LINDEX",
-		"XLEN", "XRANGE", "XREVRANGE", "XPENDING", "XINFO",
-		"SISMEMBER", "SMEMBERS", "SCARD",
-		"DEL", "HDEL", "XACK", "SREM", "XDEL",
-		"HSET", "MSET", "LTRIM", "XGROUP",
-		"FLUSHALL",
-		"FENCEAPPLY", "SINKAPPEND":
-		return true
+	verb := strings.ToUpper(argv[0])
+	switch verb {
 	case "SET":
 		for _, a := range argv[2:] {
 			if strings.EqualFold(a, "NX") {
@@ -106,9 +96,18 @@ func Retryable(argv []string) bool {
 		return false
 	case "FENCEXACK":
 		return len(argv) > 5 && argv[5] == "0"
-	default:
-		return false
 	}
+	return retrySafe[verb]
+}
+
+// retrySafe lists the verbs Retryable passes whatever their arguments; SET,
+// XCLAIM and FENCEXACK are classified per argv above.
+var retrySafe = map[string]bool{
+	"PING": true, "KEYS": true, "GET": true,
+	"HGET": true, "HGETALL": true, "HKEYS": true, "HLEN": true,
+	"XLEN": true, "XPENDING": true, "XINFO": true,
+	"DEL": true, "HDEL": true, "XACK": true, "HSET": true, "XGROUP": true,
+	"FENCEAPPLY": true, "SINKAPPEND": true,
 }
 
 // backoff computes the sleep before retry attempt (1-based): base doubled

@@ -150,24 +150,37 @@ func TestKillFaultIsTerminal(t *testing.T) {
 	}
 }
 
-// TestBLPopTimeoutBehavior: a positive sub-second timeout must actually
-// time out (not block forever via a "0" encoding), and zero/negative
-// timeouts with a value present return it immediately.
-func TestBLPopTimeoutBehavior(t *testing.T) {
+// TestXReadGroupTimeoutBehavior: a positive block — sub-millisecond
+// included — must time out with an empty read, never turn into "BLOCK 0"
+// (block forever) and outwait the command deadline; zero and negative blocks
+// are non-blocking reads that still return a waiting entry.
+func TestXReadGroupTimeoutBehavior(t *testing.T) {
 	cl := newPair(t)
-	start := time.Now()
-	_, _, ok, err := cl.BLPop(50*time.Millisecond, "empty")
-	if err != nil || ok {
-		t.Fatalf("BLPop on empty: ok=%v err=%v", ok, err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("sub-second timeout blocked far too long")
-	}
-	if _, err := cl.RPush("l", "x"); err != nil {
+	cl.CmdTimeout = 2 * time.Second
+	if err := cl.XGroupCreate("empty", "g", "$"); err != nil {
 		t.Fatal(err)
 	}
-	k, v, ok, err := cl.BLPop(-time.Second, "l")
-	if err != nil || !ok || k != "l" || v != "x" {
-		t.Fatalf("BLPop with value present: %q %q %v %v", k, v, ok, err)
+	for _, block := range []time.Duration{500 * time.Microsecond, 50 * time.Millisecond} {
+		start := time.Now()
+		entries, err := cl.XReadGroup("g", "c", 1, block, "empty")
+		if err != nil || entries != nil {
+			t.Fatalf("XReadGroup block=%v on empty: %+v %v", block, entries, err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("XReadGroup block=%v took %v", block, took)
+		}
+	}
+	if err := cl.XGroupCreate("l", "g", "0"); err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range []time.Duration{0, -time.Second} {
+		id, err := cl.XAddValues("l", "f", "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := cl.XReadGroup("g", "c", 1, block, "l")
+		if err != nil || len(entries) != 1 || entries[0].ID != id {
+			t.Fatalf("XReadGroup block=%v with entry waiting: %+v %v", block, entries, err)
+		}
 	}
 }

@@ -23,6 +23,11 @@ import (
 // of a worker process that crashed mid-task. With RecoverStale the real
 // workers must reclaim the pending entry via XAUTOCLAIM and finish the
 // workflow completely.
+//
+// The theft is deterministic: batching is off, so every emitted value is
+// its own stream entry and every pull takes one, and the sink holds each
+// worker until the rogue has stolen. All workers end up parked in the sink
+// with entries still queued, so the rogue always finds one to take.
 func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 	srv, err := miniredis.StartTestServer()
 	if err != nil {
@@ -32,6 +37,7 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 
 	const n = 15
 	col := &collector{}
+	stolenCh := make(chan struct{})
 	g := graph.New("recovery")
 	g.Add(func() core.PE {
 		return core.NewSource("gen", func(ctx *core.Context) error {
@@ -45,6 +51,10 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 	})
 	g.Add(func() core.PE {
 		return core.NewSink("sink", func(ctx *core.Context, v any) error {
+			select {
+			case <-stolenCh:
+			case <-time.After(10 * time.Second):
+			}
 			col.add(int64(v.(int)))
 			return nil
 		})
@@ -59,17 +69,19 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 		RecoverStale: true,
 		PollTimeout:  2 * time.Millisecond,
 		Retries:      40, // generous: termination must wait out the recovery
+		EmitBatch:    1,
+		PullBatch:    1,
 	}
 
-	// The rogue consumer must steal the seeded source task before workers
-	// start. Execute seeds the stream before launching workers, so we
-	// pre-create the group, seed a marker... instead: run the theft
-	// concurrently with a tiny head start for Execute's seeding.
+	// The rogue runs concurrently with Execute: it steals either the seeded
+	// source task or, once the workers are parked in the sink, one of the
+	// queued values.
 	rogue := redisclient.Dial(srv.Addr())
 	defer rogue.Close()
 
 	theft := make(chan string, 1)
 	go func() {
+		defer close(stolenCh)
 		// Poll until the run's queue appears, then steal one entry under a
 		// consumer that will never ack it.
 		for i := 0; i < 2000; i++ {
@@ -96,7 +108,7 @@ func TestDynRedisRecoversAbandonedTask(t *testing.T) {
 	}
 	stolen := <-theft
 	if stolen == "" {
-		t.Skip("rogue consumer never managed to steal a task; nothing to assert")
+		t.Fatal("rogue consumer never managed to steal a task")
 	}
 	// All n values must have reached the sink despite the theft: the stolen
 	// task was reclaimed and re-executed by a live worker.
@@ -138,9 +150,12 @@ func TestDynRedisWithoutRecoveryDocumentsTheGap(t *testing.T) {
 	if err != nil || len(entries) != 0 {
 		t.Fatalf("live consumer should see nothing new: %+v %v", entries, err)
 	}
-	sum, err := cl.XPendingSummary("q", "workers")
-	if err != nil || sum.Count != 1 || sum.PerConsumer["dead"] != 1 {
-		t.Fatalf("pending: %+v %v", sum, err)
+	dead, err := cl.XPendingIDs("q", "workers", "dead", 10)
+	if err != nil || len(dead) != 1 {
+		t.Fatalf("pending under dead: %v %v", dead, err)
+	}
+	if alive, err := cl.XPendingIDs("q", "workers", "alive", 10); err != nil || len(alive) != 0 {
+		t.Fatalf("pending under alive: %v %v", alive, err)
 	}
 	// With reclaim (what RecoverStale does), the live consumer gets it.
 	_, claimed, err := cl.XAutoClaim("q", "workers", "alive", 0, "0-0", 10)

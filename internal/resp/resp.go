@@ -84,7 +84,7 @@ func Errf(format string, args ...any) Value {
 // Arr returns an array value.
 func Arr(vals ...Value) Value { return Value{Type: Array, Array: vals} }
 
-// NilArray is the nil array reply (e.g. BLPOP timeout).
+// NilArray is the nil array reply (e.g. XREADGROUP timeout).
 func NilArray() Value { return Value{Type: Array, Null: true} }
 
 // StrArray builds an array of bulk strings.
