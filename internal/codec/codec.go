@@ -1,14 +1,12 @@
 // Package codec serializes workflow task envelopes for transport through
 // Redis. It plays the role pickle plays for dispel4py's Redis mapping.
 //
-// The wire format is a flat, length-prefixed binary frame (version 1):
+// The wire format is a flat, length-prefixed binary frame (version 2):
 //
 //	frame  = 0x00 0x00            magic (two NUL bytes)
-//	         0x01                 format version
+//	         0x02                 format version
 //	         uvarint(count)       tasks in the frame
-//	         record*              one per task, in order
-//	         gob-stream           trailer, present iff any record defers
-//	                              its payload to gob (tag 0xFF below)
+//	         record*              one per task, in order; nothing follows
 //
 //	record = flags byte:
 //	           0x01 Poison        0x02 Finalize
@@ -20,48 +18,51 @@
 //	         zigzag-uvarint Instance        (-1 = dynamic pool)
 //	         [identity] fixed64-LE Src, uvarint Seq
 //	         [traced]   fixed64-LE TraceAt
-//	         [value]    tag byte + payload (see value tags below)
+//	         [value]    tag byte + payload
 //
-// Scalar payloads are encoded inline with one-byte tags (string, []byte,
-// bool, int, int64, uint64, float64, float32, int32). Everything else —
-// the registered workflow structs — carries tag 0xFF and is written to a
-// single gob stream trailing the records, so a frame pays for gob's type
-// descriptors at most once no matter how many tasks it packs.
+//	payload by tag:
+//	  0x01 string, 0x02 []byte    uvarint(len) bytes
+//	  0x03 true, 0x04 false       (no bytes)
+//	  0x05 int, 0x06 int64,
+//	  0x0A int32                  zigzag-uvarint
+//	  0x07 uint64                 uvarint
+//	  0x08 float64, 0x09 float32  fixed64-LE / fixed32-LE IEEE 754 bits
+//	  0x0B type definition        uvarint(len) name-bytes, body
+//	  0x0C type reference         uvarint(index), body
+//
+// A registered payload type is named once per frame: its first value
+// carries a type definition, which gives the type the frame's next index
+// (0, 1, ...), and later values of that type carry a reference to the
+// index. The name is the type's package path and name, resolved on decode
+// through the registry Register fills. The body is the value laid out by
+// the plan Register compiled for its type, recursively:
+//
+//	bool                    one byte, 0 or 1
+//	int, int8 ... int64     zigzag-uvarint
+//	uint, uint8 ... uint64  uvarint
+//	float32, float64        fixed32-LE / fixed64-LE IEEE 754 bits
+//	string                  uvarint(len) bytes
+//	slice, map              uvarint(0) if nil, else uvarint(len+1) and the
+//	                        elements (key, value pairs for a map); a byte
+//	                        slice's elements are its raw bytes
+//	struct                  its exported fields, in declaration order
 //
 // Encoding is allocation-free in steady state: AppendTask/AppendBatch write
-// into a caller-supplied byte slice (GetBuffer/Release pool them), and
-// inline-scalar frames touch neither gob nor the heap. Frames live only in a
-// run's own streams, so decoding accepts the flat format alone: anything else
-// fails with ErrNotFlat.
+// into a caller-supplied byte slice (GetBuffer/Release pool them). Decoding
+// checks every length against the remaining bytes before it allocates, and
+// decoded strings share the frame's bytes. Frames live only in a run's own
+// streams, so decoding accepts the current format alone: anything without
+// the magic fails with ErrNotFlat, any other version with ErrVersion.
 package codec
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"reflect"
 	"sync"
 )
-
-// Register makes a concrete payload type encodable inside interface values.
-// Registration is idempotent: gob panics with a "gob: registering duplicate"
-// message when the same type or name is registered twice, and Register
-// swallows exactly that panic (workflow init functions run once per import
-// path but several workflows share payload types). Any other panic — a nil
-// value, an unnamed type — is re-raised.
-func Register(value any) {
-	defer func() {
-		if r := recover(); r != nil {
-			if s, ok := r.(string); ok && strings.HasPrefix(s, "gob: registering duplicate") {
-				return
-			}
-			panic(r)
-		}
-	}()
-	gob.Register(value)
-}
 
 // Task is the unit shipped through the Redis global queue: which PE to run,
 // which input port the value arrives on, and the value itself. Generate
@@ -101,19 +102,19 @@ type Task struct {
 	TraceAt int64
 }
 
-func init() {
-	gob.Register(Task{})
-}
-
 // Wire constants.
 const (
 	flatMagic   = 0x00 // first two bytes of a flat frame
-	flatVersion = 0x01 // current flat format version
+	flatVersion = 0x02 // current flat format version
 )
 
-// ErrNotFlat is returned when a frame does not start with the flat-frame
-// magic (for example a bare gob stream).
-var ErrNotFlat = errors.New("codec: not a flat frame")
+var (
+	// ErrNotFlat is returned when a frame does not start with the
+	// flat-frame magic (for example a bare gob stream).
+	ErrNotFlat = errors.New("codec: not a flat frame")
+	// ErrVersion is returned for a flat frame of another format version.
+	ErrVersion = errors.New("codec: unsupported wire format version")
+)
 
 // Record flag bits.
 const (
@@ -124,7 +125,7 @@ const (
 	flagValue    = 0x10 // payload present
 )
 
-// Inline payload tags.
+// Payload tags.
 const (
 	tagString  = 0x01
 	tagBytes   = 0x02
@@ -136,7 +137,8 @@ const (
 	tagFloat64 = 0x08
 	tagFloat32 = 0x09
 	tagInt32   = 0x0A
-	tagGob     = 0xFF // payload deferred to the frame's trailing gob stream
+	tagTypeDef = 0x0B // registered type named for the first time in the frame
+	tagTypeRef = 0x0C // registered type named earlier in the frame
 )
 
 // Buffer is a pooled scratch slice for frame encoding. Transports hold one
@@ -166,66 +168,40 @@ func (b *Buffer) Release() {
 	}
 }
 
-// sliceWriter lets a gob encoder append directly to the frame under
-// construction.
-type sliceWriter struct{ b *[]byte }
-
-func (w sliceWriter) Write(p []byte) (int, error) {
-	*w.b = append(*w.b, p...)
-	return len(p), nil
-}
-
 // AppendTask appends a one-task flat frame to dst and returns the extended
-// slice. Inline-scalar payloads allocate nothing beyond dst's own growth.
+// slice. It allocates nothing beyond dst's own growth.
 func AppendTask(dst []byte, t Task) ([]byte, error) {
 	dst = append(dst, flatMagic, flatMagic, flatVersion, 1)
-	dst, needsGob := appendRecord(dst, &t)
-	if needsGob {
-		return appendGobTrailer(dst, []Task{t}, []int{0})
-	}
-	return dst, nil
+	var local [1]*typePlan
+	dst, _, err := appendRecord(dst, &t, local[:0])
+	return dst, err
 }
 
 // AppendBatch appends one flat frame holding all of ts to dst and returns
-// the extended slice. Payloads that need gob share a single encoder writing
-// a trailer after the records, so the frame carries each type's descriptors
-// at most once.
+// the extended slice. Each registered payload type is named once per frame.
 func AppendBatch(dst []byte, ts []Task) ([]byte, error) {
 	if len(ts) == 0 {
 		return dst, fmt.Errorf("codec: encode empty batch")
 	}
 	dst = append(dst, flatMagic, flatMagic, flatVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(ts)))
-	var gobIdx []int
+	// types is the frame's table of payload types, in the order the frame
+	// names them. Frames rarely carry more than one or two, so a linear
+	// scan beats a map, and the table lives on the stack.
+	var local [4]*typePlan
+	types := local[:0]
+	var err error
 	for i := range ts {
-		var needsGob bool
-		dst, needsGob = appendRecord(dst, &ts[i])
-		if needsGob {
-			gobIdx = append(gobIdx, i)
-		}
-	}
-	if len(gobIdx) > 0 {
-		return appendGobTrailer(dst, ts, gobIdx)
-	}
-	return dst, nil
-}
-
-// appendGobTrailer writes the shared gob stream for the tasks at gobIdx.
-// It is a separate function so taking dst's address here does not force the
-// inline-scalar path in the callers to heap-allocate their slice headers.
-func appendGobTrailer(dst []byte, ts []Task, gobIdx []int) ([]byte, error) {
-	enc := gob.NewEncoder(sliceWriter{&dst})
-	for _, i := range gobIdx {
-		if err := enc.Encode(&ts[i].Value); err != nil {
-			return dst, fmt.Errorf("codec: encode payload for PE %q: %w", ts[i].PE, err)
+		if dst, types, err = appendRecord(dst, &ts[i], types); err != nil {
+			return dst, err
 		}
 	}
 	return dst, nil
 }
 
-// appendRecord writes one task record (without its gob payload, if any) and
-// reports whether the payload was deferred to the frame's gob trailer.
-func appendRecord(dst []byte, t *Task) ([]byte, bool) {
+// appendRecord writes one task record and returns types extended by its
+// payload's type if the frame had not named that type yet.
+func appendRecord(dst []byte, t *Task, types []*typePlan) ([]byte, []*typePlan, error) {
 	flags := byte(0)
 	if t.Poison {
 		flags |= flagPoison
@@ -256,7 +232,7 @@ func appendRecord(dst []byte, t *Task) ([]byte, bool) {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(t.TraceAt))
 	}
 	if flags&flagValue == 0 {
-		return dst, false
+		return dst, types, nil
 	}
 	switch v := t.Value.(type) {
 	case string:
@@ -292,10 +268,29 @@ func appendRecord(dst []byte, t *Task) ([]byte, bool) {
 		dst = append(dst, tagInt32)
 		dst = appendZigzag(dst, int64(v))
 	default:
-		dst = append(dst, tagGob)
-		return dst, true
+		rv := reflect.ValueOf(v)
+		p := plans.Load().byType[rv.Type()]
+		if p == nil {
+			return dst, types, fmt.Errorf("%w %v (encoding payload for PE %q)", ErrUnregistered, rv.Type(), t.PE)
+		}
+		dst, types = appendTypeRef(dst, types, p)
+		dst = p.enc(dst, rv)
 	}
-	return dst, false
+	return dst, types, nil
+}
+
+// appendTypeRef writes the type of a payload: its index if the frame
+// already named it, else its name, which assigns it the next index.
+func appendTypeRef(dst []byte, types []*typePlan, p *typePlan) ([]byte, []*typePlan) {
+	for i, q := range types {
+		if q == p {
+			dst = append(dst, tagTypeRef)
+			return binary.AppendUvarint(dst, uint64(i)), types
+		}
+	}
+	dst = append(dst, tagTypeDef)
+	dst = binary.AppendUvarint(dst, uint64(len(p.name)))
+	return append(dst, p.name...), append(types, p)
 }
 
 // Encode serializes a task to a binary-safe string (a one-task flat frame).
@@ -335,13 +330,21 @@ func Decode(s string) (Task, error) {
 	return ts[0], nil
 }
 
+// decodeType is one entry of a frame's type table. scratch is the settable
+// value records of the type decode into; boxing it into Task.Value copies
+// it, so the frame allocates one value per type, not per record.
+type decodeType struct {
+	plan    *typePlan
+	scratch reflect.Value
+}
+
 // DecodeBatch deserializes a flat frame of any task count.
 func DecodeBatch(s string) ([]Task, error) {
 	if len(s) < 4 || s[0] != flatMagic || s[1] != flatMagic {
 		return nil, ErrNotFlat
 	}
 	if s[2] != flatVersion {
-		return nil, fmt.Errorf("codec: unknown wire format version %d", s[2])
+		return nil, fmt.Errorf("%w %d (want %d)", ErrVersion, s[2], flatVersion)
 	}
 	count, off, err := readUvarint(s, 3)
 	if err != nil {
@@ -353,72 +356,61 @@ func DecodeBatch(s string) ([]Task, error) {
 		return nil, fmt.Errorf("codec: implausible frame count %d for %d-byte frame", count, len(s))
 	}
 	ts := make([]Task, count)
-	var gobIdx []int
+	var local [4]decodeType
+	types := local[:0]
 	for i := range ts {
-		var needsGob bool
-		off, needsGob, err = decodeRecord(s, off, &ts[i])
-		if err != nil {
+		if off, types, err = decodeRecord(s, off, &ts[i], types); err != nil {
 			return nil, fmt.Errorf("codec: decode task %d/%d: %w", i+1, count, err)
 		}
-		if needsGob {
-			gobIdx = append(gobIdx, i)
-		}
 	}
-	if len(gobIdx) > 0 {
-		dec := gob.NewDecoder(strings.NewReader(s[off:]))
-		for _, i := range gobIdx {
-			if err := dec.Decode(&ts[i].Value); err != nil {
-				return nil, fmt.Errorf("codec: decode payload for PE %q: %w", ts[i].PE, err)
-			}
-		}
-	} else if off != len(s) {
+	if off != len(s) {
 		return nil, fmt.Errorf("codec: %d trailing bytes after frame", len(s)-off)
 	}
 	return ts, nil
 }
 
-// decodeRecord parses one task record starting at off and reports whether
-// its payload must be read from the frame's gob trailer.
-func decodeRecord(s string, off int, t *Task) (int, bool, error) {
+// decodeRecord parses one task record starting at off and returns types
+// extended by the payload type the record names, if it names one.
+func decodeRecord(s string, off int, t *Task, types []decodeType) (int, []decodeType, error) {
 	if off >= len(s) {
-		return off, false, fmt.Errorf("truncated record")
+		return off, types, fmt.Errorf("truncated record")
 	}
 	flags := s[off]
 	off++
 	var err error
 	if t.PE, off, err = readString(s, off); err != nil {
-		return off, false, fmt.Errorf("PE: %w", err)
+		return off, types, fmt.Errorf("PE: %w", err)
 	}
 	if t.Port, off, err = readString(s, off); err != nil {
-		return off, false, fmt.Errorf("port: %w", err)
+		return off, types, fmt.Errorf("port: %w", err)
 	}
 	var inst int64
 	if inst, off, err = readZigzag(s, off); err != nil {
-		return off, false, fmt.Errorf("instance: %w", err)
+		return off, types, fmt.Errorf("instance: %w", err)
 	}
 	t.Instance = int(inst)
 	t.Poison = flags&flagPoison != 0
 	t.Finalize = flags&flagFinalize != 0
 	if flags&flagIdentity != 0 {
 		if t.Src, off, err = readFixed64(s, off); err != nil {
-			return off, false, fmt.Errorf("src: %w", err)
+			return off, types, fmt.Errorf("src: %w", err)
 		}
 		if t.Seq, off, err = readUvarint(s, off); err != nil {
-			return off, false, fmt.Errorf("seq: %w", err)
+			return off, types, fmt.Errorf("seq: %w", err)
 		}
 	}
 	if flags&flagTraced != 0 {
 		var at uint64
 		if at, off, err = readFixed64(s, off); err != nil {
-			return off, false, fmt.Errorf("traceAt: %w", err)
+			return off, types, fmt.Errorf("traceAt: %w", err)
 		}
 		t.TraceAt = int64(at)
 	}
 	if flags&flagValue == 0 {
-		return off, false, nil
+		return off, types, nil
 	}
 	if off >= len(s) {
-		return off, false, fmt.Errorf("truncated payload tag")
+		return off, types, fmt.Errorf("truncated payload tag")
 	}
 	tag := s[off]
 	off++
@@ -426,13 +418,13 @@ func decodeRecord(s string, off int, t *Task) (int, bool, error) {
 	case tagString:
 		var v string
 		if v, off, err = readString(s, off); err != nil {
-			return off, false, fmt.Errorf("string payload: %w", err)
+			return off, types, fmt.Errorf("string payload: %w", err)
 		}
 		t.Value = v
 	case tagBytes:
 		var v string
 		if v, off, err = readString(s, off); err != nil {
-			return off, false, fmt.Errorf("bytes payload: %w", err)
+			return off, types, fmt.Errorf("bytes payload: %w", err)
 		}
 		t.Value = []byte(v)
 	case tagTrue:
@@ -442,45 +434,78 @@ func decodeRecord(s string, off int, t *Task) (int, bool, error) {
 	case tagInt:
 		var v int64
 		if v, off, err = readZigzag(s, off); err != nil {
-			return off, false, fmt.Errorf("int payload: %w", err)
+			return off, types, fmt.Errorf("int payload: %w", err)
 		}
 		t.Value = int(v)
 	case tagInt64:
 		var v int64
 		if v, off, err = readZigzag(s, off); err != nil {
-			return off, false, fmt.Errorf("int64 payload: %w", err)
+			return off, types, fmt.Errorf("int64 payload: %w", err)
 		}
 		t.Value = v
 	case tagUint64:
 		var v uint64
 		if v, off, err = readUvarint(s, off); err != nil {
-			return off, false, fmt.Errorf("uint64 payload: %w", err)
+			return off, types, fmt.Errorf("uint64 payload: %w", err)
 		}
 		t.Value = v
 	case tagFloat64:
 		var bits uint64
 		if bits, off, err = readFixed64(s, off); err != nil {
-			return off, false, fmt.Errorf("float64 payload: %w", err)
+			return off, types, fmt.Errorf("float64 payload: %w", err)
 		}
 		t.Value = math.Float64frombits(bits)
 	case tagFloat32:
 		var bits uint32
 		if bits, off, err = readFixed32(s, off); err != nil {
-			return off, false, fmt.Errorf("float32 payload: %w", err)
+			return off, types, fmt.Errorf("float32 payload: %w", err)
 		}
 		t.Value = math.Float32frombits(bits)
 	case tagInt32:
 		var v int64
 		if v, off, err = readZigzag(s, off); err != nil {
-			return off, false, fmt.Errorf("int32 payload: %w", err)
+			return off, types, fmt.Errorf("int32 payload: %w", err)
 		}
 		t.Value = int32(v)
-	case tagGob:
-		return off, true, nil
+	case tagTypeDef, tagTypeRef:
+		var i int
+		if i, types, off, err = readTypeRef(s, off, tag, types); err != nil {
+			return off, types, err
+		}
+		dt := types[i]
+		if off, err = dt.plan.dec(s, off, dt.scratch); err != nil {
+			return off, types, fmt.Errorf("%s payload: %w", dt.plan.name, err)
+		}
+		t.Value = dt.scratch.Interface()
 	default:
-		return off, false, fmt.Errorf("unknown payload tag 0x%02x", tag)
+		return off, types, fmt.Errorf("unknown payload tag 0x%02x", tag)
 	}
-	return off, false, nil
+	return off, types, nil
+}
+
+// readTypeRef resolves a payload's type to its index in types: a name
+// (tagTypeDef) is looked up in the registry and appended, an index
+// (tagTypeRef) must refer to a type the frame named before.
+func readTypeRef(s string, off int, tag byte, types []decodeType) (int, []decodeType, int, error) {
+	if tag == tagTypeRef {
+		i, off, err := readUvarint(s, off)
+		if err != nil {
+			return 0, types, off, fmt.Errorf("type index: %w", err)
+		}
+		if i >= uint64(len(types)) {
+			return 0, types, off, fmt.Errorf("type index %d out of %d named", i, len(types))
+		}
+		return int(i), types, off, nil
+	}
+	name, off, err := readString(s, off)
+	if err != nil {
+		return 0, types, off, fmt.Errorf("type name: %w", err)
+	}
+	p := plans.Load().byName[name]
+	if p == nil {
+		return 0, types, off, fmt.Errorf("type %q: %w", name, ErrUnregistered)
+	}
+	return len(types), append(types, decodeType{plan: p, scratch: reflect.New(p.typ).Elem()}), off, nil
 }
 
 // --- primitive readers/writers over strings (no []byte conversions) ---

@@ -1,7 +1,10 @@
 package codec
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -85,8 +88,19 @@ func TestDecodeGarbage(t *testing.T) {
 func TestEncodeUnregisteredType(t *testing.T) {
 	type private struct{ X int }
 	_, err := Encode(Task{PE: "x", Value: private{X: 1}})
-	if err == nil || !strings.Contains(err.Error(), "encode") {
-		t.Errorf("unregistered type should fail encode, got %v", err)
+	if !errors.Is(err, ErrUnregistered) {
+		t.Errorf("unregistered type should fail encode with ErrUnregistered, got %v", err)
+	}
+	// A frame naming a type this process never registered fails to decode
+	// the same way.
+	frame, err := Encode(Task{PE: "x", Value: samplePayload{Name: "n"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := wireName(reflect.TypeOf(samplePayload{}))
+	renamed := strings.Replace(frame, name, name[:len(name)-1]+"X", 1)
+	if _, err := Decode(renamed); !errors.Is(err, ErrUnregistered) {
+		t.Errorf("unknown type name should fail decode with ErrUnregistered, got %v", err)
 	}
 }
 
@@ -94,6 +108,55 @@ func TestRegisterIdempotent(t *testing.T) {
 	// Re-registering the same type must not panic.
 	Register(samplePayload{})
 	Register(samplePayload{})
+}
+
+// TestRegisterNameCollision registers two distinct function-local types
+// that share a wire name: the same type again is a no-op, the other one
+// must panic rather than be dropped silently.
+func TestRegisterNameCollision(t *testing.T) {
+	first := func() any {
+		type clash struct{ A int }
+		return clash{A: 1}
+	}()
+	second := func() any {
+		type clash struct{ B string }
+		return clash{B: "b"}
+	}()
+	Register(first)
+	Register(first)
+	func() {
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, "already taken") {
+				t.Errorf("registering a different type under a taken name: recovered %v, want a name-collision panic", r)
+			}
+		}()
+		Register(second)
+	}()
+	// The first registration still owns the name.
+	s, err := Encode(Task{PE: "x", Value: first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := Decode(s); err != nil || out.Value != first {
+		t.Errorf("first type after collision: %#v, %v", out.Value, err)
+	}
+}
+
+// TestDecodeRejectsVersion1 feeds a version-1 frame whose struct payload
+// sits in a trailing gob stream, the layout before type plans: it must fail
+// with ErrVersion rather than be misread.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	frame := []byte{flatMagic, flatMagic, 0x01, 1, flagValue, 2, 'p', 'e', 0, 1, 0xFF}
+	var trailer bytes.Buffer
+	var v any = samplePayload{Name: "old"}
+	if err := gob.NewEncoder(&trailer).Encode(&v); err != nil {
+		t.Fatal(err)
+	}
+	_, err := DecodeBatch(string(frame) + trailer.String())
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 frame: err=%v, want ErrVersion", err)
+	}
 }
 
 func TestBatchRoundTrip(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 )
 
-// TestFlatScalarPayloads pins the inline fast path: every scalar payload
-// type round-trips with its exact dynamic type and value, no gob involved.
+// TestFlatScalarPayloads pins the tagged scalars: every scalar payload type
+// round-trips with its exact dynamic type and value.
 func TestFlatScalarPayloads(t *testing.T) {
 	values := []any{
 		nil,
@@ -82,8 +82,8 @@ func TestFlatEnvelopeQuick(t *testing.T) {
 	}
 }
 
-// TestFlatBatchInterleavedPayloads packs scalar and gob payloads in one
-// frame: the trailing gob stream must hand values back to the right tasks.
+// TestFlatBatchInterleavedPayloads packs scalar and struct payloads in one
+// frame: the struct type is named once and referenced by index after.
 func TestFlatBatchInterleavedPayloads(t *testing.T) {
 	in := []Task{
 		{PE: "a", Value: samplePayload{Name: "first", Values: []float64{1}}},
@@ -179,25 +179,4 @@ func TestEncodeSteadyStateZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state AppendTask allocates %.1f times per task, want 0", allocs)
 	}
-}
-
-// FuzzDecodeBatch asserts the decoder never panics on hostile bytes.
-func FuzzDecodeBatch(f *testing.F) {
-	seed1, _ := Encode(Task{PE: "pe", Port: "in", Value: "v", Src: 1, Seq: 2})
-	seed2, _ := EncodeBatch([]Task{{PE: "a", Value: int64(1)}, {Poison: true}, {PE: "b", Value: samplePayload{Name: "x"}}})
-	seed3, _ := encodeGob(Task{PE: "legacy", Value: "old"})
-	seed4, _ := encodeGobBatch([]Task{{PE: "l1"}, {PE: "l2", Value: 3.5}})
-	f.Add(seed1)
-	f.Add(seed2)
-	f.Add(seed3)
-	f.Add(seed4)
-	f.Add("")
-	f.Add("\x00\x00\x01\x02garbage")
-	f.Add("\x00not-a-gob-batch")
-	f.Fuzz(func(t *testing.T, s string) {
-		ts, err := DecodeBatch(s)
-		if err == nil && len(ts) == 0 {
-			t.Fatal("nil error with empty batch")
-		}
-	})
 }

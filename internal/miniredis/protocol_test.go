@@ -188,3 +188,29 @@ func TestServerCloseUnblocksBlockedClient(t *testing.T) {
 		t.Fatal("blocked client not released by server Close")
 	}
 }
+
+// TestPipelineFlushesBeforeBlocking pipelines an INCRBY ahead of an
+// XREADGROUP that blocks on an empty group: replies are flushed per
+// pipeline, but the INCRBY reply must not wait out the blocking read.
+func TestPipelineFlushesBeforeBlocking(t *testing.T) {
+	conn, r := rawConn(t)
+	if _, err := conn.Write([]byte("XGROUP CREATE s g $ MKSTREAM\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readLine(t, r); got != "+OK" {
+		t.Fatalf("XGROUP CREATE: %q", got)
+	}
+	start := time.Now()
+	if _, err := conn.Write([]byte("INCRBY n 5\r\nXREADGROUP GROUP g c BLOCK 500 STREAMS s >\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readLine(t, r); got != ":5" {
+		t.Fatalf("INCRBY: %q", got)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("INCRBY reply took %v: held back by the blocked XREADGROUP", d)
+	}
+	if got := readLine(t, r); got != "*-1" {
+		t.Fatalf("XREADGROUP timeout: %q", got)
+	}
+}

@@ -179,17 +179,44 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.opts.OpDelay > 0 {
 			time.Sleep(s.opts.OpDelay)
 		}
+		// Replies are flushed once per pipeline, when no further command is
+		// buffered, except that a command about to park must not hold back
+		// the replies queued ahead of it.
+		if mayBlock(argv) {
+			if err := w.Flush(); err != nil {
+				return
+			}
+		}
 		reply, quit := s.dispatch(argv)
 		if err := w.WriteValue(reply); err != nil {
 			return
 		}
-		if err := w.Flush(); err != nil {
-			return
+		if r.Buffered() == 0 || quit {
+			if err := w.Flush(); err != nil {
+				return
+			}
 		}
 		if quit {
 			return
 		}
 	}
+}
+
+// mayBlock reports whether argv can park its connection: an XREADGROUP
+// with a BLOCK option ahead of its STREAMS clause.
+func mayBlock(argv []string) bool {
+	if !strings.EqualFold(argv[0], "XREADGROUP") {
+		return false
+	}
+	for _, a := range argv[1:] {
+		if strings.EqualFold(a, "STREAMS") {
+			return false
+		}
+		if strings.EqualFold(a, "BLOCK") {
+			return true
+		}
+	}
+	return false
 }
 
 // notifyKey wakes every waiter blocked on key. Callers must hold s.mu.

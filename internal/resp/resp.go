@@ -153,6 +153,10 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 16*1024)}
 }
 
+// Buffered reports how many bytes of input are already buffered: nonzero
+// means the peer pipelined more than the value just read.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
+
 // ReadValue reads one complete RESP value.
 func (r *Reader) ReadValue() (Value, error) {
 	prefix, err := r.br.ReadByte()
