@@ -132,12 +132,13 @@ type Options struct {
 	// PullBatch caps how many tasks a worker takes from the transport per
 	// consume round trip, holding the surplus in a worker-local prefetch
 	// buffer: the Redis transport reads XREADGROUP COUNT n, the in-process
-	// queue dequeues the window under one lock hold. Acknowledgements are batched symmetrically — one pipelined
-	// release per pulled batch, flushed before the buffer refills — and
-	// prefetched tasks stay pending until acknowledged, so the coordinator's
-	// drain never unblocks early. 1 disables batching; 0 picks the mapping's
-	// default (AutoBatch on the Redis mappings, unbatched elsewhere);
-	// AutoBatch sizes the window adaptively.
+	// queue dequeues the window under one lock hold. Acknowledgements are
+	// batched symmetrically — one release per pulled batch, riding the
+	// refill's pull (on Redis, pipelined ahead of the read: one round trip
+	// for release and refill) — and prefetched tasks stay pending until
+	// released, so the coordinator's drain never unblocks early. 1 disables
+	// batching; 0 picks the mapping's default (AutoBatch on the Redis
+	// mappings, unbatched elsewhere); AutoBatch sizes the window adaptively.
 	PullBatch int
 	// Telemetry, when non-nil, receives live metrics from the run: per-worker
 	// pull/ack/emit-flush latency histograms and batch sizes, transport

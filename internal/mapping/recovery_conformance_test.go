@@ -64,8 +64,9 @@ func (c *chaosTransport) Push(tasks ...runtime.Task) error { return c.inner.Push
 // PullBatch implements runtime.Transport: duplicates stashed for this worker
 // are prepended to whatever the real transport delivers, and fresh eligible
 // deliveries are copied into the stash of their duplicate's target worker.
-func (c *chaosTransport) PullBatch(w, max int, timeout time.Duration) ([]runtime.Env, error) {
-	envs, err := c.inner.PullBatch(w, max, timeout)
+// The release is forwarded, minus wrapper-tagged duplicates, as Ack does.
+func (c *chaosTransport) PullBatch(w, max int, timeout time.Duration, release ...runtime.Env) ([]runtime.Env, error) {
+	envs, err := c.inner.PullBatch(w, max, timeout, c.strip(release)...)
 	if err != nil {
 		return nil, err
 	}
@@ -96,19 +97,26 @@ func (c *chaosTransport) PullBatch(w, max int, timeout time.Duration) ([]runtime
 
 // Ack implements runtime.Transport, swallowing wrapper-tagged duplicates.
 func (c *chaosTransport) Ack(w int, envs ...runtime.Env) error {
-	if c.stripDupAcks {
-		kept := envs[:0]
-		for _, env := range envs {
-			if env.AckID != chaosDupAckID {
-				kept = append(kept, env)
-			}
-		}
-		envs = kept
-	}
+	envs = c.strip(envs)
 	if len(envs) == 0 {
 		return nil
 	}
 	return c.inner.Ack(w, envs...)
+}
+
+// strip drops wrapper-tagged duplicates from a release when stripDupAcks is
+// set: the inner transport never delivered them.
+func (c *chaosTransport) strip(envs []runtime.Env) []runtime.Env {
+	if !c.stripDupAcks {
+		return envs
+	}
+	kept := envs[:0]
+	for _, env := range envs {
+		if env.AckID != chaosDupAckID {
+			kept = append(kept, env)
+		}
+	}
+	return kept
 }
 
 // Pending implements runtime.Transport.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -229,9 +230,15 @@ func (c *Client) doOnce(blockFor time.Duration, argv []string) (resp.Value, erro
 // returned as a *CmdError naming the failing command (later replies are still
 // drained so the connection stays reusable). The whole pipeline is retried on
 // transient transport failures only when every command in it is retry-safe.
+// A blocking read in the batch (XREADGROUP … BLOCK ms) extends the round
+// trip's deadline by its block time, as it does for a single command.
 func (c *Client) Pipeline(cmds [][]string) ([]resp.Value, error) {
 	if len(cmds) == 0 {
 		return nil, nil
+	}
+	var blockFor time.Duration
+	for _, argv := range cmds {
+		blockFor = max(blockFor, blockTime(argv))
 	}
 	attempts := 1
 	if c.Retries > 0 {
@@ -254,7 +261,7 @@ func (c *Client) Pipeline(cmds [][]string) ([]resp.Value, error) {
 			time.Sleep(backoff(c.RetryBackoff, c.RetryMaxBackoff, a))
 		}
 		c.statRoundTrips.Add(1)
-		replies, err = c.pipelineOnce(cmds)
+		replies, err = c.pipelineOnce(blockFor, cmds)
 		// Retry only transport-level failures (no replies came back); a
 		// server error reply is a delivered result, not a transient fault.
 		if replies != nil || err == nil || !retryableError(err) {
@@ -264,8 +271,28 @@ func (c *Client) Pipeline(cmds [][]string) ([]resp.Value, error) {
 	return replies, err
 }
 
-// pipelineOnce performs one pipelined round trip.
-func (c *Client) pipelineOnce(cmds [][]string) ([]resp.Value, error) {
+// blockTime is how long argv may park the connection server-side: the
+// BLOCK milliseconds of an XREADGROUP given ahead of its STREAMS clause,
+// zero for anything else.
+func blockTime(argv []string) time.Duration {
+	if !strings.EqualFold(argv[0], "XREADGROUP") {
+		return 0
+	}
+	for i := 1; i < len(argv)-1; i++ {
+		if strings.EqualFold(argv[i], "STREAMS") {
+			return 0
+		}
+		if strings.EqualFold(argv[i], "BLOCK") {
+			ms, _ := strconv.ParseInt(argv[i+1], 10, 64) // a malformed BLOCK fails server-side
+			return time.Duration(ms) * time.Millisecond
+		}
+	}
+	return 0
+}
+
+// pipelineOnce performs one pipelined round trip. blockFor extends the
+// deadline for a blocking read in the batch.
+func (c *Client) pipelineOnce(blockFor time.Duration, cmds [][]string) ([]resp.Value, error) {
 	if err := faultinject.FireCmd(faultinject.ProbeConnWrite, cmds[0][0]); err != nil {
 		return nil, &CmdError{Cmd: cmds[0][0], Err: err}
 	}
@@ -275,7 +302,7 @@ func (c *Client) pipelineOnce(cmds [][]string) ([]resp.Value, error) {
 	}
 	hasDeadline := c.CmdTimeout > 0
 	if hasDeadline {
-		_ = cn.nc.SetDeadline(time.Now().Add(c.CmdTimeout))
+		_ = cn.nc.SetDeadline(time.Now().Add(c.CmdTimeout + blockFor))
 	}
 	for _, argv := range cmds {
 		if err := cn.w.WriteCommandBuffered(argv...); err != nil {

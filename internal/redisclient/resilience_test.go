@@ -184,3 +184,30 @@ func TestXReadGroupTimeoutBehavior(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineBlockingReadExtendsDeadline: a pipeline ending in a blocking
+// group read may park for its BLOCK time beyond CmdTimeout. The read must
+// come back empty when the block expires, not fail with an i/o timeout at
+// the command deadline.
+func TestPipelineBlockingReadExtendsDeadline(t *testing.T) {
+	cl := newPair(t)
+	cl.CmdTimeout = 50 * time.Millisecond
+	if err := cl.XGroupCreate("empty", "g", "$"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	replies, err := cl.Pipeline([][]string{
+		{"PING"},
+		{"XREADGROUP", "GROUP", "g", "c", "COUNT", "1", "BLOCK", "200", "STREAMS", "empty", ">"},
+	})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatalf("pipeline with a blocking read failed after %v: %v", took, err)
+	}
+	if len(replies) != 2 || replies[0].Str != "PONG" || !replies[1].IsNull() {
+		t.Fatalf("replies %+v, want PONG and a nil read", replies)
+	}
+	if took < 150*time.Millisecond || took > 2*time.Second {
+		t.Fatalf("blocking read returned after %v, want about 200ms", took)
+	}
+}

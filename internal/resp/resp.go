@@ -245,14 +245,30 @@ func (r *Reader) readBulk() (Value, error) {
 	if n < 0 || n > MaxBulkLen {
 		return Value{}, fmt.Errorf("%w: bulk length %d out of range", ErrProtocol, n)
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
+	// A bulk that fits the read buffer is copied once, straight from the
+	// buffer into its string; a larger one is read into a scratch slice first.
+	var buf []byte
+	peeked := int(n)+2 <= r.br.Size()
+	if peeked {
+		buf, err = r.br.Peek(int(n) + 2)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	} else {
+		buf = make([]byte, n+2)
+		_, err = io.ReadFull(r.br, buf)
+	}
+	if err != nil {
 		return Value{}, err
 	}
 	if buf[n] != '\r' || buf[n+1] != '\n' {
 		return Value{}, fmt.Errorf("%w: bulk string missing CRLF terminator", ErrProtocol)
 	}
-	return Value{Type: BulkString, Str: string(buf[:n])}, nil
+	s := string(buf[:n])
+	if peeked {
+		_, _ = r.br.Discard(len(buf)) // cannot fail: Peek buffered these bytes
+	}
+	return Value{Type: BulkString, Str: s}, nil
 }
 
 func (r *Reader) readArray() (Value, error) {
@@ -281,9 +297,13 @@ func (r *Reader) readArray() (Value, error) {
 	return Value{Type: Array, Array: vals}, nil
 }
 
-// readLine reads up to CRLF and returns the line without the terminator.
+// readLine reads up to CRLF and returns the line without the terminator. The
+// line aliases the read buffer: it is valid only until the next read.
 func (r *Reader) readLine() ([]byte, error) {
-	line, err := r.br.ReadBytes('\n')
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return nil, fmt.Errorf("%w: line longer than %d bytes", ErrProtocol, r.br.Size())
+	}
 	if err != nil {
 		return nil, err
 	}

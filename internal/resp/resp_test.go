@@ -288,3 +288,37 @@ func TestTypeString(t *testing.T) {
 		t.Error("unknown type naming")
 	}
 }
+
+// loopReader serves the same bytes forever, so a Reader over it can parse
+// one reply after another without being rebuilt.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.b[l.off:])
+	l.off = (l.off + n) % len(l.b)
+	return n, nil
+}
+
+// TestReadBulkSingleAlloc: a bulk reply that fits the read buffer costs
+// exactly one allocation, its string.
+func TestReadBulkSingleAlloc(t *testing.T) {
+	payload := strings.Repeat("x", 300)
+	r := NewReader(&loopReader{b: []byte("$300\r\n" + payload + "\r\n")})
+	var got Value
+	allocs := testing.AllocsPerRun(200, func() {
+		v, err := r.ReadValue()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = v
+	})
+	if got.Str != payload {
+		t.Fatalf("read %q, want the %d-byte payload", got.Str, len(payload))
+	}
+	if allocs != 1 {
+		t.Fatalf("one bulk reply costs %v allocs, want 1", allocs)
+	}
+}

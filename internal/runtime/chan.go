@@ -71,11 +71,14 @@ func (t *ChanTransport) Push(tasks ...Task) error {
 	return nil
 }
 
-// PullBatch implements Transport: a blocking wait for the first task, then
-// buffered draining — whatever is already queued joins the batch without
-// further blocking. A poison pill ends its batch so sibling pool workers
-// keep their pills visible.
-func (t *ChanTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
+// PullBatch implements Transport: after the release, a blocking wait for the
+// first task, then buffered draining — whatever is already queued joins the
+// batch without further blocking. A poison pill ends its batch so sibling
+// pool workers keep their pills visible.
+func (t *ChanTransport) PullBatch(w, max int, timeout time.Duration, release ...Env) ([]Env, error) {
+	if err := t.Ack(w, release...); err != nil {
+		return nil, err
+	}
 	if max < 1 {
 		max = 1
 	}

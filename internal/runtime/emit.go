@@ -136,29 +136,47 @@ func (b *batcher) flush() error {
 //
 // Deferring an ack only ever keeps the pending count high, never low, so
 // the termination invariant is untouched; what matters is that the batch is
-// flushed — after the emit batch, so children land first — before the
+// released — after the emit batch, so children land first — before the
 // worker's prefetch buffer refills, before it parks idle, and before it
-// exits, all of which the worker loop owns.
+// exits, all of which the worker loop owns. A refill hands the batch to its
+// PullBatch (take), so release and refill share one round trip; flush
+// releases it on its own.
 type ackBatch struct {
 	tr  Transport
 	w   int
 	buf []Env
+	// traced is set while buf holds a traced delivery (tracer on). Its ack
+	// hop is timestamped when its own release returns, so such a batch is
+	// flushed rather than taken into a pull.
+	traced bool
 
 	// Telemetry (optional): ack-flush latency and traced-delivery ack events.
 	hist   *telemetry.Histogram
 	tracer *telemetry.Tracer
 }
 
-// add buffers one processed delivery for the next flush.
-func (a *ackBatch) add(env Env) { a.buf = append(a.buf, env) }
+// add buffers one processed delivery for the next release.
+func (a *ackBatch) add(env Env) {
+	a.buf = append(a.buf, env)
+	if env.TraceAt != 0 && a.tracer != nil {
+		a.traced = true
+	}
+}
 
-// flush releases the buffered deliveries, if any.
+// take empties the batch into a refill's PullBatch, which releases it. The
+// returned slice is valid until the next add.
+func (a *ackBatch) take() []Env {
+	envs := a.buf
+	a.buf, a.traced = a.buf[:0], false
+	return envs
+}
+
+// flush releases the buffered deliveries, if any, in a standalone Ack.
 func (a *ackBatch) flush() error {
 	if len(a.buf) == 0 {
 		return nil
 	}
-	envs := a.buf
-	a.buf = a.buf[:0]
+	envs := a.take()
 	if a.hist == nil && a.tracer == nil {
 		return a.tr.Ack(a.w, envs...)
 	}

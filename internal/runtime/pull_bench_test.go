@@ -11,11 +11,12 @@ import (
 )
 
 // BenchmarkPullBatching is the consume-side mirror of BenchmarkEmitBatching:
-// it measures draining a pre-filled transport through PullBatch + batched
-// Ack at fixed windows and under the adaptive sizer. On the Redis transport
-// a window becomes one XREADGROUP COUNT n round trip plus one pipelined
-// XACK+decrement instead of 2n round trips; on the in-process queue it pays
-// one lock hold and one modeled synchronization cost per window.
+// it measures draining a pre-filled transport the way a worker refills —
+// each PullBatch carries the batched release of the window before it — at
+// fixed windows and under the adaptive sizer. On the Redis transport a
+// window becomes one round trip (the XACK+decrement pipelined ahead of
+// XREADGROUP COUNT n) instead of 2n; on the in-process queue it pays one
+// lock hold and one modeled synchronization cost per window.
 //
 // The reported tasks/op metric is fixed (256 consumed per op); compare
 // ns/op across sub-benchmarks: batch=64 must beat unbatched ≥2× on redis
@@ -53,19 +54,21 @@ func BenchmarkPullBatching(b *testing.B) {
 		}
 	}
 
-	// consume drains the workload through the batched pull + ack path. The
-	// sizer, when present, persists across iterations like a worker's does
-	// across pulls.
+	// consume drains the workload through the batched pull path, each pull
+	// releasing the previous window; the last window is acked on its own.
+	// The sizer, when present, persists across iterations like a worker's
+	// does across pulls.
 	consume := func(b *testing.B, tr runtime.Transport, window int, sizer *runtime.BatchSizer) {
 		b.Helper()
 		remaining := tasks
+		var held []runtime.Env
 		for remaining > 0 {
 			max := window
 			if sizer != nil {
 				max = sizer.Next()
 			}
 			start := time.Now()
-			envs, err := tr.PullBatch(0, max, time.Second)
+			envs, err := tr.PullBatch(0, max, time.Second, held...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -75,10 +78,11 @@ func BenchmarkPullBatching(b *testing.B) {
 			if sizer != nil {
 				sizer.Observe(time.Since(start), len(envs))
 			}
-			if err := tr.Ack(0, envs...); err != nil {
-				b.Fatal(err)
-			}
+			held = envs
 			remaining -= len(envs)
+		}
+		if err := tr.Ack(0, held...); err != nil {
+			b.Fatal(err)
 		}
 	}
 

@@ -167,9 +167,12 @@ func (t *QueueTransport) Push(tasks ...Task) error {
 	return nil
 }
 
-// PullBatch implements Transport: one multi-dequeue pays one lock hold and
-// one modeled synchronization cost for the whole window.
-func (t *QueueTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
+// PullBatch implements Transport: after the release, one multi-dequeue pays
+// one lock hold and one modeled synchronization cost for the whole window.
+func (t *QueueTransport) PullBatch(w, max int, timeout time.Duration, release ...Env) ([]Env, error) {
+	if err := t.Ack(w, release...); err != nil {
+		return nil, err
+	}
 	if t.closed.Load() {
 		return nil, errTransportClosed
 	}

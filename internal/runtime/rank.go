@@ -65,11 +65,14 @@ func (t *RankTransport) Push(tasks ...Task) error {
 	return nil
 }
 
-// PullBatch implements Transport: a bounded wait on the rank's mailbox for
-// the first message, then zero-timeout drains of whatever is already queued
-// — the buffered-draining consume path for per-rank mailboxes. A poison
-// pill ends its batch.
-func (t *RankTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
+// PullBatch implements Transport: after the release, a bounded wait on the
+// rank's mailbox for the first message, then zero-timeout drains of whatever
+// is already queued — the buffered-draining consume path for per-rank
+// mailboxes. A poison pill ends its batch.
+func (t *RankTransport) PullBatch(w, max int, timeout time.Duration, release ...Env) ([]Env, error) {
+	if err := t.Ack(w, release...); err != nil {
+		return nil, err
+	}
 	if max < 1 {
 		max = 1
 	}

@@ -84,13 +84,16 @@ type RedisTransport struct {
 	// rr round-robins unfenced pool entries across shards.
 	rr atomic.Uint64
 
+	// slots[w] is worker w's addressing, resolved once.
+	slots []workerSlot
+
 	// frames[w] tracks the stream entries worker w has pulled but not fully
 	// acknowledged: (shard, entry ID) → how many of its delivered tasks are
 	// still unacked, and the pending-counter weight the entry releases when
 	// its XACK removes it. Entry IDs are only unique per shard, hence the
 	// compound key. Each map is touched only by worker w's goroutine
 	// (PullBatch and Ack for w run on it), so no locking.
-	frames []map[frameKey]*entryState
+	frames []map[frameKey]entryState
 
 	// leases[w] throttles worker w's Extend heartbeats (same single-goroutine
 	// ownership as frames[w]).
@@ -113,6 +116,20 @@ type RedisTransport struct {
 
 // SetDiagnosis attaches the diagnosis plane the planners thread through.
 func (t *RedisTransport) SetDiagnosis(d *diagnosis.Diag) { t.diag = d }
+
+// workerSlot is one worker's fixed addressing on the data plane.
+type workerSlot struct {
+	// stream is the key the worker consumes: pool workers share the queue
+	// partitions, pinned workers own their private stream's partitions.
+	stream string
+	// consumer is the worker's name in the consumer group, "w<index>".
+	consumer string
+	// home is the shard the worker blocking-reads: pinned workers wait on
+	// the ring home of their private stream (where unfenced pushes place
+	// frames), pool workers spread round-robin so the blocking load covers
+	// every shard.
+	home int
+}
 
 // frameKey identifies one pulled stream entry: entry IDs are server-local,
 // so the shard index is part of the identity.
@@ -161,36 +178,20 @@ func NewRedisTransport(cluster *redisclient.Cluster, keys RedisKeys, plan Plan, 
 	if err != nil {
 		return nil, err
 	}
-	frames := make([]map[frameKey]*entryState, len(plan.Workers))
-	for i := range frames {
-		frames[i] = map[frameKey]*entryState{}
+	slots := make([]workerSlot, len(plan.Workers))
+	frames := make([]map[frameKey]entryState, len(plan.Workers))
+	for w, spec := range plan.Workers {
+		slots[w] = workerSlot{stream: keys.Queue, consumer: fmt.Sprintf("w%d", w), home: w % cluster.NumShards()}
+		if spec.Pinned() {
+			slots[w].stream = keys.PrivKey(spec.PE, spec.Instance)
+			slots[w].home = cluster.ShardFor(slots[w].stream)
+		}
+		frames[w] = map[frameKey]entryState{}
 	}
 	return &RedisTransport{
 		cluster: cluster, keys: keys, plan: plan, recoverStale: recoverStale,
-		frames: frames, leases: make([]leaseState, len(plan.Workers)),
+		slots: slots, frames: frames, leases: make([]leaseState, len(plan.Workers)),
 	}, nil
-}
-
-// streamFor is the stream key worker w consumes: pool workers share the
-// queue partitions, pinned workers own their private stream's partitions.
-func (t *RedisTransport) streamFor(w int) string {
-	spec := t.plan.Workers[w]
-	if spec.Pinned() {
-		return t.keys.PrivKey(spec.PE, spec.Instance)
-	}
-	return t.keys.Queue
-}
-
-// homeShard is the shard worker w blocking-reads: pinned workers wait on the
-// ring home of their private stream (where unfenced pushes place frames),
-// pool workers spread round-robin so the blocking load covers every shard.
-func (t *RedisTransport) homeShard(w int) int {
-	n := t.cluster.NumShards()
-	spec := t.plan.Workers[w]
-	if spec.Pinned() {
-		return t.cluster.ShardFor(t.keys.PrivKey(spec.PE, spec.Instance))
-	}
-	return w % n
 }
 
 // shardCmds accumulates one shard's slice of a push batch.
@@ -336,34 +337,47 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 	}
 	buf := codec.GetBuffer()
 	defer buf.Release()
-	var run []Task
-	flushRun := func() error {
-		if len(run) == 0 {
-			return nil
-		}
-		b, err := codec.AppendBatch(buf.B[:0], run)
-		buf.B = b[:0]
-		if err != nil {
-			return err
-		}
-		sc := get(nextPool())
-		sc.cmds = append(sc.cmds, []string{"XADD", t.keys.Queue, "*", taskField, string(b)})
-		sc.counted += len(run)
-		run = run[:0]
-		return nil
-	}
+	// Pool tasks keep their batch order. pool aliases tasks until a private
+	// task turns up; from then on it is one copy sized to the batch.
+	pool := tasks
 	var priv map[string][]Task
-	for _, task := range tasks {
-		if task.Instance >= 0 {
-			key := t.keys.PrivKey(task.PE, task.Instance)
-			if priv == nil {
-				priv = map[string][]Task{}
+	for i, task := range tasks {
+		if task.Instance < 0 {
+			if priv != nil {
+				pool = append(pool, task)
 			}
-			priv[key] = append(priv[key], task)
 			continue
 		}
+		if priv == nil {
+			priv = map[string][]Task{}
+			pool = append(make([]Task, 0, len(tasks)), tasks[:i]...)
+		}
+		key := t.keys.PrivKey(task.PE, task.Instance)
+		priv[key] = append(priv[key], task)
+	}
+	addEntry := func(frame []byte, counted int) {
+		sc := get(nextPool())
+		sc.cmds = append(sc.cmds, []string{"XADD", t.keys.Queue, "*", taskField, string(frame)})
+		sc.counted += counted
+	}
+	// A run is the subslice pool[start:end] between pills, capped at
+	// entryCap tasks; each packs into one entry.
+	start := 0
+	flushRun := func(end int) error {
+		if end > start {
+			b, err := codec.AppendBatch(buf.B[:0], pool[start:end])
+			buf.B = b[:0]
+			if err != nil {
+				return err
+			}
+			addEntry(b, end-start)
+		}
+		start = end
+		return nil
+	}
+	for i, task := range pool {
 		if task.Poison {
-			if err := flushRun(); err != nil {
+			if err := flushRun(i); err != nil {
 				return nil, err
 			}
 			b, err := codec.AppendTask(buf.B[:0], task)
@@ -371,18 +385,17 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 			if err != nil {
 				return nil, err
 			}
-			sc := get(nextPool())
-			sc.cmds = append(sc.cmds, []string{"XADD", t.keys.Queue, "*", taskField, string(b)})
+			addEntry(b, 0)
+			start = i + 1
 			continue
 		}
-		run = append(run, task)
-		if entryCap > 0 && len(run) >= entryCap {
-			if err := flushRun(); err != nil {
+		if entryCap > 0 && i+1-start >= entryCap {
+			if err := flushRun(i + 1); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := flushRun(); err != nil {
+	if err := flushRun(len(pool)); err != nil {
 		return nil, err
 	}
 	for key, group := range priv {
@@ -402,81 +415,174 @@ func (t *RedisTransport) pushCmds(tasks []Task, entryCap, fixedShard int) (map[i
 	return batches, nil
 }
 
-// PullBatch implements Transport. Every worker consumes its stream's
-// partitions home-shard-first: a non-blocking sweep over all shards
-// (home, home+1, …) picks up work wherever routing placed it, then an
+// PullBatch implements Transport. It first releases release exactly as Ack
+// would, then pulls. Every worker consumes its stream's partitions
+// home-shard-first. On a multi-shard cluster a non-blocking sweep over all
+// shards (home, home+1, …) picks up work wherever routing placed it, then an
 // empty-handed worker parks in a blocking XREADGROUP on its home shard for
-// the poll timeout. Each entry may itself be a packed batch frame, so the
+// the poll timeout. At one shard that sweep would only repeat the blocking
+// read, which returns at once when entries exist, so the pull is the single
+// blocking read. Each entry may itself be a packed batch frame, so the
 // returned batch can exceed max — max is advisory.
+//
+// A refill is one round trip where it can be: the first read always goes to
+// the home shard, and the home shard's unfenced release (XACK + INCRBY)
+// rides the same pipeline ahead of it. Releases on other shards go first as
+// their own pipelines. A fenced release (FENCEXACK, under recoverStale)
+// keeps its own round trip, so its retry-safety is not lost inside a
+// pipeline with a read.
 //
 // Because stream deliveries are irreversible (entries enter this consumer's
 // PEL on their shard), a batch read may carry several poison pills; the
 // worker loop re-routes any surplus to its siblings.
-func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, error) {
+func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration, release ...Env) ([]Env, error) {
 	if t.closed.Load() {
 		return nil, errTransportClosed
 	}
 	if max < 1 {
 		max = 1
 	}
-	stream := t.streamFor(w)
-	consumer := fmt.Sprintf("w%d", w)
-	home := t.homeShard(w)
+	ws := t.slots[w]
 	n := t.cluster.NumShards()
 	t.leases[w].timeout = timeout
 
-	var entries []redisclient.StreamEntry
-	shard := home
-	for i := 0; i < n; i++ {
-		s := (home + i) % n
-		es, err := t.cluster.Shard(s).XReadGroup(t.keys.Group, consumer, max, 0, stream)
-		if err != nil {
-			return nil, t.maybeClosed(err)
-		}
-		if len(es) > 0 {
-			entries, shard = es, s
-			break
+	// pre is the home shard's release, sent ahead of the first read.
+	var pre [][]string
+	if len(release) > 0 {
+		shards := t.settle(w, release)
+		for shard := range shards {
+			a := &shards[shard]
+			if shard == ws.home && !t.fenced(a) {
+				pre = t.releaseCmds(ws.stream, a)
+				continue
+			}
+			if err := t.release(w, shard, a); err != nil {
+				return nil, t.maybeClosed(err)
+			}
 		}
 	}
-	if len(entries) == 0 && timeout > 0 {
-		es, err := t.cluster.Shard(home).XReadGroup(t.keys.Group, consumer, max, timeout, stream)
-		if err != nil {
-			return nil, t.maybeClosed(err)
+
+	var local [16]streamFrame
+	frames := local[:0]
+	shard := ws.home
+	// At one shard there is no sweep: the home read below is the only one,
+	// blocking when timeout > 0.
+	sweep := n
+	if n == 1 {
+		sweep = 0
+	}
+	var err error
+	for i := 0; i < sweep && len(frames) == 0; i++ {
+		shard = (ws.home + i) % n
+		if frames, err = t.read(shard, pre, ws, max, 0, frames); err != nil {
+			return nil, err
 		}
-		entries = es
+		pre = nil
+	}
+	if len(frames) == 0 && (timeout > 0 || sweep == 0) {
+		shard = ws.home
+		if frames, err = t.read(shard, pre, ws, max, timeout, frames); err != nil {
+			return nil, err
+		}
 	}
 	reclaimed := false
-	if len(entries) == 0 && t.recoverStale {
+	if len(frames) == 0 && t.recoverStale {
 		// Reclaim tasks whose consumer stopped acknowledging them (crashed
 		// or descheduled), sweeping shard by shard: XAUTOCLAIM moves idle
 		// pending entries of the shard's partition into this worker's PEL so
 		// the stream's at-least-once guarantee actually holds under failures.
-		for i := 0; i < n; i++ {
-			s := (home + i) % n
-			_, claimed, err := t.cluster.Shard(s).XAutoClaim(stream, t.keys.Group, consumer, t.minIdle(timeout), "0-0", max)
-			if err == nil && len(claimed) > 0 {
-				entries, shard, reclaimed = claimed, s, true
-				break
+		for i := 0; i < n && len(frames) == 0; i++ {
+			shard = (ws.home + i) % n
+			_, claimed, err := t.cluster.Shard(shard).XAutoClaim(ws.stream, t.keys.Group, ws.consumer, t.minIdle(timeout), "0-0", max)
+			if err != nil {
+				continue
 			}
+			for _, e := range claimed {
+				frames = append(frames, streamFrame{id: e.ID, data: e.Fields[taskField]})
+			}
+			reclaimed = len(frames) > 0
 		}
 	}
-	if len(entries) == 0 {
+	if len(frames) == 0 {
 		return nil, nil
 	}
-	// Each entry may be a packed frame; fan its tasks out as one env per
-	// task, all sharing the entry's (shard, ID), and register the entry so
-	// Ack can XACK it once the last of them is released. A re-delivered
-	// entry (XAUTOCLAIM bouncing it back to this worker) resets its
-	// bookkeeping — redelivery means full re-execution.
-	reg := t.frames[w]
-	envs := make([]Env, 0, len(entries))
-	for _, e := range entries {
-		tasks, err := codec.DecodeBatch(e.Fields[taskField])
+	envs, err := t.deliver(w, shard, frames, reclaimed)
+	if err != nil {
+		return nil, err
+	}
+	if reclaimed && t.diag != nil {
+		t.diag.Log(diagnosis.EvReclaim, w, "",
+			fmt.Sprintf("%d stalled entries adopted on shard %d", len(frames), shard), int64(len(envs)))
+	}
+	return envs, nil
+}
+
+// streamFrame is one stream entry as pulled: its ID and its encoded batch.
+type streamFrame struct {
+	id, data string
+}
+
+// read sends one XREADGROUP for worker slot ws to shard, blocking up to
+// block (zero reads without blocking), with pre pipelined ahead of it, and
+// appends the entries read to frames.
+func (t *RedisTransport) read(shard int, pre [][]string, ws workerSlot, count int, block time.Duration, frames []streamFrame) ([]streamFrame, error) {
+	argv := make([]string, 0, 11)
+	argv = append(argv, "XREADGROUP", "GROUP", t.keys.Group, ws.consumer, "COUNT", strconv.Itoa(count))
+	if block > 0 {
+		// BLOCK 0 means block forever: round a sub-millisecond block up.
+		argv = append(argv, "BLOCK", strconv.FormatInt(max(block.Milliseconds(), 1), 10))
+	}
+	argv = append(argv, "STREAMS", ws.stream, ">")
+	replies, err := t.cluster.Shard(shard).Pipeline(append(pre, argv))
+	if err != nil {
+		return frames, t.maybeClosed(err)
+	}
+	// The reply is [[stream, [[id, [field, value, …]], …]]], or nil when
+	// nothing was read.
+	for _, sv := range replies[len(replies)-1].Array {
+		if len(sv.Array) != 2 {
+			continue
+		}
+		for _, ev := range sv.Array[1].Array {
+			if len(ev.Array) != 2 {
+				continue
+			}
+			f := streamFrame{id: ev.Array[0].Str}
+			fv := ev.Array[1].Array
+			for i := 0; i+1 < len(fv); i += 2 {
+				if fv[i].Str == taskField {
+					f.data = fv[i+1].Str
+				}
+			}
+			frames = append(frames, f)
+		}
+	}
+	return frames, nil
+}
+
+// deliver fans frames pulled from one shard out as one env per task, all
+// sharing their entry's (shard, ID), and registers each entry so Ack can
+// XACK it once the last of its tasks is released. The frames are decoded
+// first, so the envs are allocated once at the total task count. A
+// re-delivered entry (XAUTOCLAIM bouncing it back to this worker) resets its
+// bookkeeping — redelivery means full re-execution.
+func (t *RedisTransport) deliver(w, shard int, frames []streamFrame, reclaimed bool) ([]Env, error) {
+	var local [16][]Task
+	decoded := local[:0]
+	total := 0
+	for _, f := range frames {
+		tasks, err := codec.DecodeBatch(f.data)
 		if err != nil {
 			return nil, err
 		}
+		decoded = append(decoded, tasks)
+		total += len(tasks)
+	}
+	reg := t.frames[w]
+	envs := make([]Env, 0, total)
+	for i, f := range frames {
 		nonPoison := 0
-		for _, task := range tasks {
+		for _, task := range decoded[i] {
 			if !task.Poison {
 				nonPoison++
 			}
@@ -485,18 +591,14 @@ func (t *RedisTransport) PullBatch(w, max int, timeout time.Duration) ([]Env, er
 				// take the ledger lock per task.
 				t.diag.PE(task.PE).Replays.Inc()
 			}
-			envs = append(envs, Env{Task: task, AckID: e.ID, Shard: shard})
+			envs = append(envs, Env{Task: task, AckID: f.id, Shard: shard})
 		}
-		reg[frameKey{shard: shard, id: e.ID}] = &entryState{remaining: len(tasks), tasks: nonPoison}
-	}
-	if reclaimed && t.diag != nil {
-		t.diag.Log(diagnosis.EvReclaim, w, "",
-			fmt.Sprintf("%d stalled entries adopted on shard %d", len(entries), shard), int64(len(envs)))
+		reg[frameKey{shard: shard, id: f.id}] = entryState{remaining: len(decoded[i]), tasks: nonPoison}
 	}
 	return envs, nil
 }
 
-// ackShard accumulates one shard's slice of an Ack call.
+// ackShard accumulates one shard's slice of a release.
 type ackShard struct {
 	// direct counts non-poison envs without a delivery ID (duplicate
 	// deliveries stripped of their entry identity): not claimable, their
@@ -525,16 +627,20 @@ type ackShard struct {
 // one atomic FENCEXACK per shard: ownership check, PEL removal and counter
 // decrement in a single server-side step, no window between them.
 func (t *RedisTransport) Ack(w int, envs ...Env) error {
-	reg := t.frames[w]
-	shards := map[int]*ackShard{}
-	get := func(shard int) *ackShard {
-		a := shards[shard]
-		if a == nil {
-			a = &ackShard{}
-			shards[shard] = a
+	shards := t.settle(w, envs)
+	for shard := range shards {
+		if err := t.release(w, shard, &shards[shard]); err != nil {
+			return t.maybeClosed(err)
 		}
-		return a
 	}
+	return nil
+}
+
+// settle books released envs against worker w's entry registry and splits
+// the release by shard: element s is shard s's share.
+func (t *RedisTransport) settle(w int, envs []Env) []ackShard {
+	reg := t.frames[w]
+	shards := make([]ackShard, t.cluster.NumShards())
 	// Envs from one entry arrive contiguously (PullBatch fans frames out in
 	// order and the worker loop preserves it), so a linear run-group scan
 	// replaces a map.
@@ -542,7 +648,7 @@ func (t *RedisTransport) Ack(w int, envs ...Env) error {
 		env := envs[i]
 		if env.AckID == "" {
 			if !env.Poison {
-				get(env.Shard).direct++
+				shards[env.Shard].direct++
 			}
 			i++
 			continue
@@ -556,9 +662,10 @@ func (t *RedisTransport) Ack(w int, envs ...Env) error {
 			}
 			i++
 		}
-		a := get(shard)
+		a := &shards[shard]
 		a.streamTasks += nonPoison
-		es, ok := reg[frameKey{shard: shard, id: id}]
+		key := frameKey{shard: shard, id: id}
+		es, ok := reg[key]
 		if !ok {
 			// Not in this worker's registry: a duplicate delivery or a
 			// repeated ack of an entry already completed. Treat it as a
@@ -571,25 +678,28 @@ func (t *RedisTransport) Ack(w int, envs ...Env) error {
 		es.remaining -= acked
 		if es.remaining <= 0 {
 			a.completed = append(a.completed, doneEntry{id: id, tasks: es.tasks})
-			delete(reg, frameKey{shard: shard, id: id})
+			delete(reg, key)
+		} else {
+			reg[key] = es
 		}
 	}
-	stream := t.streamFor(w)
-	for shard, a := range shards {
-		if err := t.ackShard(w, shard, stream, a); err != nil {
-			return t.maybeClosed(err)
-		}
-	}
-	return nil
+	return shards
 }
 
-// ackShard releases one shard's slice of an Ack call.
-func (t *RedisTransport) ackShard(w, shard int, stream string, a *ackShard) error {
-	if t.recoverStale && (len(a.completed) > 0 || a.streamTasks > 0) {
-		return t.fencedAck(w, shard, stream, a.direct, a.completed)
+// fenced reports whether a shard's release must go through FENCEXACK.
+func (t *RedisTransport) fenced(a *ackShard) bool {
+	return t.recoverStale && (len(a.completed) > 0 || a.streamTasks > 0)
+}
+
+// releaseCmds is an unfenced release of one shard: the multi-ID XACK of its
+// completed entries and one pending-counter decrement, nil when there is
+// nothing to release. The slice has room for the read PullBatch appends.
+func (t *RedisTransport) releaseCmds(stream string, a *ackShard) [][]string {
+	n := a.direct + a.streamTasks
+	if len(a.completed) == 0 && n == 0 {
+		return nil
 	}
-	cl := t.cluster.Shard(shard)
-	cmds := make([][]string, 0, 2)
+	cmds := make([][]string, 0, 3)
 	if len(a.completed) > 0 {
 		xack := make([]string, 0, len(a.completed)+3)
 		xack = append(xack, "XACK", stream, t.keys.Group)
@@ -598,13 +708,22 @@ func (t *RedisTransport) ackShard(w, shard int, stream string, a *ackShard) erro
 		}
 		cmds = append(cmds, xack)
 	}
-	if a.direct+a.streamTasks > 0 {
-		cmds = append(cmds, []string{"INCRBY", t.keys.PendingKey, strconv.Itoa(-(a.direct + a.streamTasks))})
+	if n > 0 {
+		cmds = append(cmds, []string{"INCRBY", t.keys.PendingKey, strconv.Itoa(-n)})
 	}
+	return cmds
+}
+
+// release sends one shard's share of a release in its own round trip.
+func (t *RedisTransport) release(w, shard int, a *ackShard) error {
+	if t.fenced(a) {
+		return t.fencedAck(w, shard, a.direct, a.completed)
+	}
+	cmds := t.releaseCmds(t.slots[w].stream, a)
 	if len(cmds) == 0 {
 		return nil
 	}
-	_, err := cl.Pipeline(cmds)
+	_, err := t.cluster.Shard(shard).Pipeline(cmds)
 	return err
 }
 
@@ -636,7 +755,7 @@ type doneEntry struct {
 // The command is retried by the client only when its direct decrement is
 // zero (the PEL half is ownership-fenced and idempotent; the direct counter
 // adjustment is not).
-func (t *RedisTransport) fencedAck(w, shard int, stream string, direct int, completed []doneEntry) error {
+func (t *RedisTransport) fencedAck(w, shard int, direct int, completed []doneEntry) error {
 	if direct == 0 && len(completed) == 0 {
 		return nil
 	}
@@ -646,8 +765,9 @@ func (t *RedisTransport) fencedAck(w, shard int, stream string, direct int, comp
 		ids[i] = d.id
 		weights[i] = int64(d.tasks)
 	}
+	ws := t.slots[w]
 	_, _, _, err := t.cluster.Shard(shard).FenceXAck(
-		stream, t.keys.Group, fmt.Sprintf("w%d", w),
+		ws.stream, t.keys.Group, ws.consumer,
 		t.keys.PendingKey, int64(direct), ids, weights)
 	return err
 }
@@ -699,8 +819,7 @@ func (t *RedisTransport) Extend(w int) error {
 		return nil
 	}
 	ls.last = now
-	stream := t.streamFor(w)
-	consumer := fmt.Sprintf("w%d", w)
+	stream, consumer := t.slots[w].stream, t.slots[w].consumer
 	perShard := map[int]int{}
 	for fk := range reg {
 		perShard[fk.shard]++

@@ -64,18 +64,25 @@ type Transport interface {
 	// callers pass several tasks at once so implementations can amortize
 	// synchronization (one lock hold, one pipelined round trip).
 	Push(tasks ...Task) error
-	// PullBatch blocks up to timeout for the first task addressed to worker
-	// w, then returns it together with whatever is already queued, up to max
-	// tasks, without further waiting (nil on timeout). max is advisory: a
+	// PullBatch first releases release exactly as Ack would, then blocks up
+	// to timeout for the first task addressed to worker w and returns it
+	// together with whatever is already queued, up to max tasks, without
+	// further waiting (nil on timeout). A release error is returned without
+	// pulling. Carrying the release lets a refill cost one operation: the
+	// Redis transport pipelines the home shard's release ahead of its read,
+	// the in-process transports just Ack first. max is advisory: a
 	// transport whose wire format packs several tasks into one frame may
 	// return more. Where the dequeue is reversible (in-process channels,
 	// queue, rank mailboxes) a batch never extends past a poison pill — the
 	// pill ends its batch — so one worker cannot swallow siblings' pills;
 	// the Redis stream, whose deliveries are irreversible, may return
 	// several pills at once and the worker loop re-routes the surplus.
-	PullBatch(w, max int, timeout time.Duration) ([]Env, error)
+	PullBatch(w, max int, timeout time.Duration, release ...Env) ([]Env, error)
 	// Ack releases pulled tasks after they are fully processed (children
-	// already pushed). A multi-task batch is released in one amortized
+	// already pushed), for the releases that do not ride a refill's
+	// PullBatch: before parking on the idle gate, for a batch holding a
+	// traced delivery, at poison retirement and after a failure. A
+	// multi-task batch is released in one amortized
 	// operation: a single pipelined round trip on Redis, one atomic
 	// adjustment in process.
 	Ack(w int, envs ...Env) error

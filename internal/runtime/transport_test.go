@@ -1,6 +1,8 @@
 package runtime_test
 
 import (
+	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,9 +18,12 @@ import (
 // chan, redis and rank transports exercise their pinned delivery path, the
 // queue transport its pool path — together covering every route of the four
 // transports. addr is a task template addressed to the fixture's worker 0.
+// breakRelease, where a release can fail at all, makes the transport's next
+// release fail before it reaches the queue; the in-process transports'
+// releases are counter adjustments that cannot fail, so theirs is nil.
 type transportFixture struct {
 	name string
-	make func(t *testing.T) (tr runtime.Transport, addr runtime.Task)
+	make func(t *testing.T) (tr runtime.Transport, addr runtime.Task, breakRelease func())
 }
 
 func transportFixtures() []transportFixture {
@@ -26,13 +31,13 @@ func transportFixtures() []transportFixture {
 		return runtime.NewPlan([]runtime.WorkerSpec{{PE: "pe", Instance: 0}}, map[string]int{"pe": 1})
 	}
 	return []transportFixture{
-		{name: "chan", make: func(t *testing.T) (runtime.Transport, runtime.Task) {
-			return runtime.NewChanTransport(pinnedPlan(), 0), runtime.Task{PE: "pe", Port: "in", Instance: 0}
+		{name: "chan", make: func(t *testing.T) (runtime.Transport, runtime.Task, func()) {
+			return runtime.NewChanTransport(pinnedPlan(), 0), runtime.Task{PE: "pe", Port: "in", Instance: 0}, nil
 		}},
-		{name: "queue", make: func(t *testing.T) (runtime.Transport, runtime.Task) {
-			return runtime.NewQueueTransport(runtime.NewQueue(0)), runtime.Task{PE: "pe", Port: "in", Instance: -1}
+		{name: "queue", make: func(t *testing.T) (runtime.Transport, runtime.Task, func()) {
+			return runtime.NewQueueTransport(runtime.NewQueue(0)), runtime.Task{PE: "pe", Port: "in", Instance: -1}, nil
 		}},
-		{name: "redis", make: func(t *testing.T) (runtime.Transport, runtime.Task) {
+		{name: "redis", make: func(t *testing.T) (runtime.Transport, runtime.Task, func()) {
 			srv, err := miniredis.StartTestServer()
 			if err != nil {
 				t.Fatal(err)
@@ -40,13 +45,22 @@ func transportFixtures() []transportFixture {
 			t.Cleanup(func() { srv.Close() })
 			cl := redisclient.Dial(srv.Addr())
 			t.Cleanup(func() { cl.Close() })
+			// The next write carrying an XACK fails: the release and the
+			// read pipelined behind it never reach the server.
+			var failXAck atomic.Bool
+			cl.Dialer = tapDialer(func(p []byte) error {
+				if bytes.Contains(p, []byte("XACK")) && failXAck.CompareAndSwap(true, false) {
+					return errors.New("injected release failure")
+				}
+				return nil
+			})
 			tr, err := runtime.NewRedisTransport(redisclient.Single(cl), runtime.NewRunKeys("tconf", 1), pinnedPlan(), false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return tr, runtime.Task{PE: "pe", Port: "in", Instance: 0}
+			return tr, runtime.Task{PE: "pe", Port: "in", Instance: 0}, func() { failXAck.Store(true) }
 		}},
-		{name: "rank", make: func(t *testing.T) (runtime.Transport, runtime.Task) {
+		{name: "rank", make: func(t *testing.T) (runtime.Transport, runtime.Task, func()) {
 			world, err := mpi.NewWorld(1)
 			if err != nil {
 				t.Fatal(err)
@@ -56,7 +70,7 @@ func transportFixtures() []transportFixture {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return tr, runtime.Task{PE: "pe", Port: "in", Instance: 0}
+			return tr, runtime.Task{PE: "pe", Port: "in", Instance: 0}, nil
 		}},
 	}
 }
@@ -73,7 +87,7 @@ func TestTransportsHoldTerminationUntilDrained(t *testing.T) {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			t.Parallel()
-			tr, addr := fx.make(t)
+			tr, addr, _ := fx.make(t)
 
 			tasks := make([]runtime.Task, n)
 			for i := range tasks {
@@ -136,7 +150,7 @@ func TestTransportsHoldTerminationWithPrefetch(t *testing.T) {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			t.Parallel()
-			tr, addr := fx.make(t)
+			tr, addr, _ := fx.make(t)
 
 			tasks := make([]runtime.Task, n)
 			for i := range tasks {
@@ -195,7 +209,7 @@ func TestTransportsCountInFlightTasks(t *testing.T) {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			t.Parallel()
-			tr, addr := fx.make(t)
+			tr, addr, _ := fx.make(t)
 			if err := tr.Push(addr); err != nil {
 				t.Fatal(err)
 			}
@@ -214,6 +228,87 @@ func TestTransportsCountInFlightTasks(t *testing.T) {
 				t.Fatalf("post-ack pending = %d (%v), want 0", p, err)
 			}
 			_ = tr.Done()
+		})
+	}
+}
+
+// pullN pulls until n tasks have been delivered to worker 0.
+func pullN(t *testing.T, tr runtime.Transport, n int) []runtime.Env {
+	t.Helper()
+	var envs []runtime.Env
+	for i := 0; i < 50 && len(envs) < n; i++ {
+		got, err := tr.PullBatch(0, n-len(envs), 10*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, got...)
+	}
+	if len(envs) != n {
+		t.Fatalf("pulled %d tasks, want %d", len(envs), n)
+	}
+	return envs
+}
+
+// wantPending fails unless the transport counts exactly n pending tasks.
+func wantPending(t *testing.T, tr runtime.Transport, n int64, when string) {
+	t.Helper()
+	if p, err := tr.Pending(); err != nil || p != n {
+		t.Fatalf("pending %s = %d (%v), want %d", when, p, err, n)
+	}
+}
+
+// TestTransportsReleaseOnPull pins the release half of PullBatch on all four
+// transports: the tasks handed to a pull are released exactly as Ack would
+// release them, even when the pull itself times out empty, and a release
+// that fails is reported without pulling — the queued task stays for the
+// next pull.
+func TestTransportsReleaseOnPull(t *testing.T) {
+	for _, fx := range transportFixtures() {
+		fx := fx
+		t.Run(fx.name, func(t *testing.T) {
+			t.Parallel()
+			tr, addr, breakRelease := fx.make(t)
+			defer tr.Done()
+			tasks := make([]runtime.Task, 3)
+			for i := range tasks {
+				tasks[i] = addr
+				tasks[i].Value = i
+			}
+			if err := tr.Push(tasks...); err != nil {
+				t.Fatal(err)
+			}
+			envs := pullN(t, tr, 3)
+			wantPending(t, tr, 3, "with three tasks in flight")
+			got, err := tr.PullBatch(0, 4, 5*time.Millisecond, envs[0])
+			if err != nil || len(got) != 0 {
+				t.Fatalf("pull releasing one task: %d envs, %v", len(got), err)
+			}
+			wantPending(t, tr, 2, "after a pull released one task")
+			if got, err = tr.PullBatch(0, 4, 5*time.Millisecond, envs[1:]...); err != nil || len(got) != 0 {
+				t.Fatalf("pull releasing two tasks: %d envs, %v", len(got), err)
+			}
+			wantPending(t, tr, 0, "after a pull released the rest")
+
+			if breakRelease == nil {
+				return
+			}
+			if err := tr.Push(addr); err != nil {
+				t.Fatal(err)
+			}
+			held := pullN(t, tr, 1)
+			if err := tr.Push(addr); err != nil {
+				t.Fatal(err)
+			}
+			breakRelease()
+			if got, err = tr.PullBatch(0, 4, 5*time.Millisecond, held...); err == nil || got != nil {
+				t.Fatalf("pull with a failing release: %d envs, err %v; want the error and no tasks", len(got), err)
+			}
+			wantPending(t, tr, 2, "after a failed release")
+			queued := pullN(t, tr, 1)
+			if err := tr.Ack(0, append(held, queued...)...); err != nil {
+				t.Fatal(err)
+			}
+			wantPending(t, tr, 0, "after both were acked")
 		})
 	}
 }

@@ -407,16 +407,21 @@ func (r *run) runWorker(w int) {
 			// Refill. Order matters: buffered emissions reach the transport
 			// first (children become pending), then the processed deliveries
 			// are released in one batched ack, and only then may the worker
-			// block — on the idle gate or on the pull itself.
+			// block — on the idle gate or on the pull itself. The release
+			// rides the pull, one round trip for both, unless the worker is
+			// about to park or a traced delivery needs its ack timed alone.
 			if err := b.flush(); err != nil {
 				r.workerFail(fmt.Errorf("worker %s: flush emissions: %w", procName, err))
 				return
 			}
-			if err := acks.flush(); err != nil {
-				r.workerFail(fmt.Errorf("worker %s: ack batch: %w", procName, err))
-				return
+			parking := ctrl != nil && !spec.Pinned() && ctrl.Idle(w)
+			if parking || acks.traced {
+				if err := acks.flush(); err != nil {
+					r.workerFail(fmt.Errorf("worker %s: ack batch: %w", procName, err))
+					return
+				}
 			}
-			if ctrl != nil && !spec.Pinned() && ctrl.Idle(w) {
+			if parking {
 				// Idle state: stop accruing process time until readmitted.
 				proc.Deactivate()
 				if !ctrl.Admit(w) {
@@ -430,7 +435,7 @@ func (r *run) runWorker(w int) {
 				window = pullSizer.Next()
 			}
 			start := time.Now()
-			envs, err := tr.PullBatch(w, window, pollTimeout)
+			envs, err := tr.PullBatch(w, window, pollTimeout, acks.take()...)
 			if err != nil {
 				r.workerFail(fmt.Errorf("worker %s: pull: %w", procName, err))
 				return
@@ -551,7 +556,7 @@ func (r *run) retirePoison(pill Env, rest []Env, b *batcher, acks *ackBatch) {
 
 // runTask executes one delivered task: generate, process, or finalize. The
 // acknowledgement is deferred into the worker's ack batch; because the ack
-// batch is only ever flushed after the emit batch, the task's children are
+// batch is only ever released after the emit batch, the task's children are
 // pending before the task itself is released.
 //
 // Under fencing the router and the PE's fence scope are bound to the

@@ -47,7 +47,10 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 type WorkerMetrics struct {
 	// Pull, Ack and EmitFlush time the worker loop's transport round trips:
 	// non-empty PullBatch calls (empty polls land in IdlePolls instead),
-	// batched Ack flushes, and batched emit (Push) flushes.
+	// standalone Ack flushes, and batched emit (Push) flushes. A refill's
+	// release usually rides its PullBatch and is then timed inside Pull; Ack
+	// sees only the releases flushed on their own (before parking idle,
+	// batches holding a traced delivery, poison retirement, failures).
 	Pull, Ack, EmitFlush *Histogram
 	// PullBatch and EmitBatch record the delivered/flushed batch sizes the
 	// BatchSizer (or fixed windows) actually produced.
