@@ -15,16 +15,14 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/diagnosis"
-	_ "repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/miniredis"
-	_ "repro/internal/mpi"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
+	_ "repro/internal/runtime" // register the in-process mappings
 	"repro/internal/state"
 	"repro/internal/statics"
 	"repro/internal/telemetry"

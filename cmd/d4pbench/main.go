@@ -30,14 +30,12 @@ import (
 	"time"
 
 	"repro/internal/diagnosis"
-	_ "repro/internal/dynamic"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/miniredis"
-	_ "repro/internal/mpi"
-	_ "repro/internal/multiproc"
 	"repro/internal/redisclient"
 	_ "repro/internal/redismap"
+	_ "repro/internal/runtime" // register the in-process mappings
 	"repro/internal/state"
 	"repro/internal/telemetry"
 )

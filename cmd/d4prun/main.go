@@ -21,14 +21,12 @@ import (
 	"time"
 
 	"repro/internal/diagnosis"
-	_ "repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/mpi"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
+	_ "repro/internal/runtime" // register the in-process mappings
 	"repro/internal/statics"
 	"repro/internal/telemetry"
 	"repro/internal/workflows/galaxy"

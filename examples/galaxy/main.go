@@ -10,13 +10,12 @@ import (
 	"log"
 	"strings"
 
-	_ "repro/internal/dynamic"
 	"repro/internal/mapping"
 	"repro/internal/metrics"
 	"repro/internal/miniredis"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
+	_ "repro/internal/runtime" // register the in-process mappings
 	"repro/internal/workflows/galaxy"
 )
 

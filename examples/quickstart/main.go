@@ -12,11 +12,10 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	_ "repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/mapping"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
+	_ "repro/internal/runtime" // register the in-process mappings
 )
 
 func main() {

@@ -10,11 +10,11 @@ import (
 	"os"
 
 	"repro/internal/autoscale"
-	_ "repro/internal/dynamic"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
+	_ "repro/internal/runtime" // register the in-process mappings
 	"repro/internal/workflows/seismic"
 )
 

@@ -13,12 +13,11 @@ import (
 	"log"
 	"sync"
 
-	_ "repro/internal/dynamic"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
+	_ "repro/internal/runtime" // register the in-process mappings
 	"repro/internal/workflows/sentiment"
 )
 

@@ -10,10 +10,10 @@ import (
 	"fmt"
 	"log"
 
-	_ "repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/platform"
+	_ "repro/internal/runtime" // register the in-process mappings
 	"repro/internal/statics"
 	"repro/internal/workflows/seismic"
 )

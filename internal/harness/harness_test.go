@@ -5,11 +5,10 @@ import (
 	"strings"
 	"testing"
 
-	_ "repro/internal/dynamic"
 	"repro/internal/harness"
 	"repro/internal/metrics"
-	_ "repro/internal/multiproc"
 	_ "repro/internal/redismap"
+	_ "repro/internal/runtime" // register the in-process mappings
 	"repro/internal/workflows/galaxy"
 )
 

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
-	_ "repro/internal/dynamic"
 	_ "repro/internal/redismap"
+	_ "repro/internal/runtime" // register the in-process mappings
 )
 
 // quickOpenLoop is a sub-second open-loop configuration for tests.

@@ -13,8 +13,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/mpi"      // register mpi
 	_ "repro/internal/redismap" // register redis mappings
+	_ "repro/internal/runtime"  // register the in-process mappings
 	"repro/internal/state"
 )
 

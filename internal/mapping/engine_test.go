@@ -1,6 +1,9 @@
 package mapping_test
 
 import (
+	"os"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,10 +12,9 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/core"
-	_ "repro/internal/dynamic" // register dyn_multi, dyn_auto_multi
 	"repro/internal/graph"
 	"repro/internal/mapping"
-	_ "repro/internal/multiproc" // register multi
+	"repro/internal/miniredis"
 	"repro/internal/platform"
 	"repro/internal/runtime"
 )
@@ -79,10 +81,19 @@ func testOpts(procs int) mapping.Options {
 	}
 }
 
+// TestMappingsAgreeOnPipeline runs one pipeline under every registered
+// mapping (the Redis rows on an embedded miniredis) and checks each against
+// the simple reference.
 func TestMappingsAgreeOnPipeline(t *testing.T) {
 	const n = 40
 	want := wantSquareSum(n)
-	for _, name := range []string{"simple", "multi", "dyn_multi", "dyn_auto_multi"} {
+	srv, err := miniredis.StartTestServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, name := range []string{"simple", "multi", "dyn_multi", "dyn_auto_multi",
+		"mpi", "dyn_redis", "dyn_auto_redis", "hybrid_redis", "hybrid_auto_redis"} {
 		t.Run(name, func(t *testing.T) {
 			m, err := mapping.Get(name)
 			if err != nil {
@@ -90,7 +101,9 @@ func TestMappingsAgreeOnPipeline(t *testing.T) {
 			}
 			col := &sumCollector{}
 			g := pipelineGraph(n, 0, col)
-			rep, err := m.Execute(g, testOpts(4))
+			opts := testOpts(4)
+			opts.RedisAddr = srv.Addr()
+			rep, err := m.Execute(g, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,21 +123,32 @@ func TestMappingsAgreeOnPipeline(t *testing.T) {
 	}
 }
 
+// TestRegistryLookup requires the registry to hold exactly the mappings the
+// package doc's table lists, so a row cannot be added, dropped or renamed
+// without the documentation following.
 func TestRegistryLookup(t *testing.T) {
 	if _, err := mapping.Get("nope"); err == nil {
 		t.Error("unknown mapping should error")
 	}
-	names := mapping.Names()
-	for _, want := range []string{"simple", "multi", "dyn_multi", "dyn_auto_multi"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
+	src, err := os.ReadFile("mapping.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var documented []string
+	for _, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(line, "package ") {
+			break
 		}
-		if !found {
-			t.Errorf("registry missing %q (have %v)", want, names)
+		if row, ok := strings.CutPrefix(line, "//\t"); ok {
+			documented = append(documented, strings.Fields(row)[0])
 		}
+	}
+	sort.Strings(documented)
+	if len(documented) != 9 {
+		t.Fatalf("package doc lists %d mappings %v, want the 9 of the paper's matrix", len(documented), documented)
+	}
+	if names := mapping.Names(); !slices.Equal(names, documented) {
+		t.Errorf("registry holds %v, package doc lists %v", names, documented)
 	}
 }
 

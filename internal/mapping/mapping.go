@@ -3,17 +3,20 @@
 // execution systems"), a registry of the available mappings, and the Simple
 // sequential mapping.
 //
-// The mappings implemented across this repository, matching the paper's
-// evaluation section:
+// The mappings implemented across this repository match the paper's
+// evaluation section. simple lives here; the eight parallel mappings are
+// rows of runtime.Planner, the in-process ones registered by package runtime
+// and the Redis ones by package redismap:
 //
-//	simple          sequential in-process execution (reference semantics)
-//	multi           static Multiprocessing: one process per PE instance
-//	mpi             static message-passing variant over internal/mpi
-//	dyn_multi       dynamic scheduling over an in-process global queue
-//	dyn_auto_multi  dyn_multi + auto-scaler (queue-size strategy)
-//	dyn_redis       dynamic scheduling over a Redis stream consumer group
-//	dyn_auto_redis  dyn_redis + auto-scaler (idle-time strategy)
-//	hybrid_redis    stateful instances on private queues + dynamic stateless pool
+//	simple             sequential in-process execution (reference semantics)
+//	multi              static Multiprocessing: one process per PE instance
+//	mpi                static message-passing variant over internal/mpi
+//	dyn_multi          dynamic scheduling over an in-process global queue
+//	dyn_auto_multi     dyn_multi + auto-scaler (queue-size strategy)
+//	dyn_redis          dynamic scheduling over a Redis stream consumer group
+//	dyn_auto_redis     dyn_redis + auto-scaler (idle-time strategy)
+//	hybrid_redis       stateful instances on private queues + dynamic stateless pool
+//	hybrid_auto_redis  hybrid_redis + auto-scaler on the stateless pool (idle-time)
 package mapping
 
 import (

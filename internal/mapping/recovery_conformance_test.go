@@ -287,7 +287,11 @@ func TestKillAndReplayExactlyOnceAcrossTransports(t *testing.T) {
 		{name: "chan", run: func(t *testing.T, collect func(string)) *chaosTransport {
 			g := keyedAggGraph(items, 2, collect)
 			plan := runtime.PinnedPlan(g, map[string]int{"gen": 1, "count": 2, "sink": 1})
-			chaos := newChaosTransport(runtime.NewChanTransport(plan, 0), len(plan.Workers), 16, true, eligible, pinnedTarget(plan))
+			tr, err := runtime.NewChanTransport(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chaos := newChaosTransport(tr, len(plan.Workers), 16, true, eligible, pinnedTarget(plan))
 			opts := testOpts(len(plan.Workers))
 			opts.ExactlyOnceState = true
 			opts.Retries = 20

@@ -3,58 +3,17 @@ package redismap
 import (
 	"fmt"
 
-	"repro/internal/autoscale"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/mapping"
-	"repro/internal/metrics"
-	"repro/internal/platform"
 	"repro/internal/runtime"
-	"repro/internal/state"
 )
-
-// Hybrid is the hybrid_redis mapping: stateful PE instances are pinned to
-// dedicated processes with private queues; stateless PEs share a dynamic
-// pool on the global stream. It is the only dynamic-scheduling mapping that
-// supports stateful PEs and groupings.
-type Hybrid struct{}
-
-// HybridAuto is hybrid_auto_redis: the hybrid mapping with the Algorithm 1
-// auto-scaler applied to its stateless pool. The paper leaves this
-// combination explicitly for future work ("given we did not equip
-// auto-scaling optimization to it, hybrid_redis does not achieve the same
-// efficiency"); this mapping closes that gap. Stateful pinned processes are
-// never scaled (their state is place-bound); only the dynamic stateless
-// workers cycle between active and idle.
-type HybridAuto struct{}
-
-func init() {
-	mapping.Register(Hybrid{})
-	mapping.Register(HybridAuto{})
-}
-
-// Name implements mapping.Mapping.
-func (Hybrid) Name() string { return "hybrid_redis" }
-
-// Name implements mapping.Mapping.
-func (HybridAuto) Name() string { return "hybrid_auto_redis" }
-
-// Execute implements mapping.Mapping.
-func (Hybrid) Execute(g *graph.Graph, opts mapping.Options) (metrics.Report, error) {
-	return executeHybrid(g, opts, "hybrid_redis", false)
-}
-
-// Execute implements mapping.Mapping.
-func (HybridAuto) Execute(g *graph.Graph, opts mapping.Options) (metrics.Report, error) {
-	return executeHybrid(g, opts, "hybrid_auto_redis", true)
-}
 
 // planHybrid computes the process split as a runtime plan: every stateful
 // instance gets a pinned worker with a private queue, and the remaining
 // budget forms the dynamic stateless pool, enforcing the paper's minimum
 // ("stateless PE instances are assigned to the available processes that are
 // not dedicated to stateful tasks ... N − number of stateful PE instances").
-func planHybrid(g *graph.Graph, processes int) (runtime.Plan, error) {
+func planHybrid(g *graph.Graph, name string, processes int) (runtime.Plan, error) {
 	var pinned []runtime.WorkerSpec
 	instances := make(map[string]int, len(g.Nodes()))
 	for _, n := range g.Nodes() {
@@ -63,9 +22,9 @@ func planHybrid(g *graph.Graph, processes int) (runtime.Plan, error) {
 			continue
 		}
 		if n.IsSource() {
-			return runtime.Plan{}, fmt.Errorf("hybrid_redis: source PE %s cannot be stateful", n.Name)
+			return runtime.Plan{}, fmt.Errorf("%s: source PE %s cannot be stateful", name, n.Name)
 		}
-		count := statefulInstances(n)
+		count := max(n.Instances, 1) // explicit Instances, defaulting to 1
 		instances[n.Name] = count
 		for i := 0; i < count; i++ {
 			pinned = append(pinned, runtime.WorkerSpec{PE: n.Name, Instance: i})
@@ -74,103 +33,31 @@ func planHybrid(g *graph.Graph, processes int) (runtime.Plan, error) {
 	stateless := processes - len(pinned)
 	if stateless < 1 {
 		return runtime.Plan{}, fmt.Errorf(
-			"hybrid_redis: workflow %s needs at least %d processes (%d stateful instances + 1 stateless worker), got %d",
-			g.Name, len(pinned)+1, len(pinned), processes)
+			"%s: workflow %s needs at least %d processes (%d stateful instances + 1 stateless worker), got %d",
+			name, g.Name, len(pinned)+1, len(pinned), processes)
 	}
 	workers := make([]runtime.WorkerSpec, stateless)
 	workers = append(workers, pinned...)
 	return runtime.NewPlan(workers, instances), nil
 }
 
-// statefulInstances is the pinned instance count of a stateful node
-// (explicit Instances, defaulting to 1).
-func statefulInstances(n *graph.Node) int {
-	if n.Instances > 0 {
-		return n.Instances
-	}
-	return 1
-}
-
 // validateHybrid checks the stateless part of the graph against dynamic
 // scheduling's limits: stateless PEs cannot carry Final hooks, and grouped
 // edges must target stateful nodes (a grouped edge into a stateless pool has
 // no stable instance identity to route to).
-func validateHybrid(g *graph.Graph) error {
+func validateHybrid(g *graph.Graph, name string) error {
 	for _, n := range g.Nodes() {
 		if n.Stateful {
 			continue
 		}
 		if _, ok := n.Prototype.(core.Finalizer); ok {
-			return fmt.Errorf("hybrid_redis: stateless PE %s implements Final; mark it stateful to give it pinned instances", n.Name)
+			return fmt.Errorf("%s: stateless PE %s implements Final; mark it stateful to give it pinned instances", name, n.Name)
 		}
 	}
 	for _, e := range g.Edges() {
 		if e.Grouping.Kind != graph.Shuffle && !g.Node(e.To).Stateful {
-			return fmt.Errorf("hybrid_redis: edge %s→%s uses %s grouping into a stateless PE; mark %s stateful", e.From, e.To, e.Grouping.Kind, e.To)
+			return fmt.Errorf("%s: edge %s→%s uses %s grouping into a stateless PE; mark %s stateful", name, e.From, e.To, e.Grouping.Kind, e.To)
 		}
 	}
 	return nil
-}
-
-func executeHybrid(g *graph.Graph, opts mapping.Options, name string, auto bool) (metrics.Report, error) {
-	// Redis round trips dominate this mapping's per-task cost, so batching
-	// defaults on, adaptively sized (pass an explicit 1 to disable).
-	opts = opts.ResolveBatching(mapping.AutoBatch, mapping.AutoBatch).WithDefaults()
-	if err := g.Validate(); err != nil {
-		return metrics.Report{}, err
-	}
-	if err := validateHybrid(g); err != nil {
-		return metrics.Report{}, err
-	}
-	plan, err := planHybrid(g, opts.Processes)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	cluster, err := requireCluster(opts, name)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	defer cluster.Close()
-
-	// RecoverStale covers both halves of the hybrid: stale pool deliveries
-	// are reclaimed via XAUTOCLAIM (with fenced acks and, for managed-state
-	// PEs, fenced store writes), and the pinned private queues are now
-	// per-shard stream partitions with the same consumer-group PEL — pulled
-	// frames sit pending until acked, so a stalled delivery is reclaimable
-	// instead of lost with its list element.
-	keys := runtime.NewRunKeys(g.Name, opts.Seed)
-	tr, err := runtime.NewRedisTransport(cluster, keys, plan, opts.RecoverStale)
-	if err != nil {
-		return metrics.Report{}, fmt.Errorf("%s: %w", name, err)
-	}
-	tr.RecoverIdle = opts.RecoverIdle
-	tr.SetDiagnosis(opts.Diagnosis)
-	defer tr.Cleanup(g)
-
-	var ctrl *autoscale.Controller
-	if auto && plan.Pool > 1 {
-		cfg := autoscale.Config{MaxPoolSize: plan.Pool}
-		if opts.AutoScale != nil {
-			cfg = *opts.AutoScale
-			cfg.MaxPoolSize = plan.Pool
-		}
-		strategy := opts.Strategy
-		if strategy == nil {
-			strategy = &autoscale.IdleTimeStrategy{Threshold: 4 * opts.PollTimeout}
-		}
-		ctrl = autoscale.NewController(cfg, strategy, opts.Trace)
-		go ctrl.RunMonitor(consumerIdleMonitor(cluster, keys, ctrl))
-		defer ctrl.Terminate()
-	}
-
-	return runtime.Execute(g, opts, runtime.Config{
-		Name:       name,
-		Plan:       plan,
-		Transport:  tr,
-		Host:       platform.NewHost(opts.Platform),
-		Controller: ctrl,
-		NewStateBackend: func() state.Backend {
-			return newStateBackend(cluster, keys, opts)
-		},
-	})
 }

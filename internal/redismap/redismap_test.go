@@ -12,9 +12,9 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/multiproc" // register multi for conformance comparison
 	"repro/internal/platform"
 	_ "repro/internal/redismap" // register redis mappings
+	_ "repro/internal/runtime"  // register the in-process mappings
 )
 
 func init() {
@@ -256,33 +256,45 @@ func TestHybridAgreesWithMultiOnStatefulWorkflow(t *testing.T) {
 	})
 }
 
+// hybridNames are the two hybrid rows; their rejections must name the row
+// that was asked for.
+var hybridNames = []string{"hybrid_redis", "hybrid_auto_redis"}
+
+// expectRejection runs g under name and requires an error starting with
+// the mapping's name and containing want.
+func expectRejection(t *testing.T, name string, g *graph.Graph, procs int, want string) {
+	t.Helper()
+	m, err := mapping.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Execute(g, redisOpts(t, procs))
+	if err == nil || !strings.HasPrefix(err.Error(), name+": ") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("want %q rejection prefixed %q, got %v", want, name+": ", err)
+	}
+}
+
 func TestHybridMinimumProcesses(t *testing.T) {
-	var results sync.Map
-	g := statefulGraph(10, &results)
-	m, _ := mapping.Get("hybrid_redis")
-	// 3 stateful instances need at least 4 processes.
-	if _, err := m.Execute(g, redisOpts(t, 3)); err == nil || !strings.Contains(err.Error(), "at least") {
-		t.Fatalf("want minimum-processes error, got %v", err)
+	for _, name := range hybridNames {
+		var results sync.Map
+		// 3 stateful instances need at least 4 processes.
+		expectRejection(t, name, statefulGraph(10, &results), 3, "at least")
 	}
 }
 
 func TestHybridRejectsStatefulSource(t *testing.T) {
-	col := &collector{}
-	g := pipelineGraph(5, col)
-	g.Node("gen").SetStateful(true)
-	m, _ := mapping.Get("hybrid_redis")
-	if _, err := m.Execute(g, redisOpts(t, 4)); err == nil || !strings.Contains(err.Error(), "source") {
-		t.Fatalf("want stateful-source rejection, got %v", err)
+	for _, name := range hybridNames {
+		g := pipelineGraph(5, &collector{})
+		g.Node("gen").SetStateful(true)
+		expectRejection(t, name, g, 4, "source")
 	}
 }
 
 func TestHybridRejectsGroupedEdgeIntoStateless(t *testing.T) {
-	col := &collector{}
-	g := pipelineGraph(5, col)
-	g.OutEdges("gen")[0].SetGrouping(graph.GlobalGrouping())
-	m, _ := mapping.Get("hybrid_redis")
-	if _, err := m.Execute(g, redisOpts(t, 4)); err == nil || !strings.Contains(err.Error(), "stateless") {
-		t.Fatalf("want grouped-into-stateless rejection, got %v", err)
+	for _, name := range hybridNames {
+		g := pipelineGraph(5, &collector{})
+		g.OutEdges("gen")[0].SetGrouping(graph.GlobalGrouping())
+		expectRejection(t, name, g, 4, "stateless")
 	}
 }
 

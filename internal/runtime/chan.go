@@ -17,53 +17,51 @@ func IsClosed(err error) bool { return errors.Is(err, errTransportClosed) }
 
 // ChanTransport carries tasks over in-process channels: one bounded channel
 // per pinned worker (the multi mapping's per-instance input queue, with the
-// same backpressure) plus one shared channel for pool routing.
+// same backpressure). Like RankTransport it has no shared pool.
 type ChanTransport struct {
 	plan    Plan
-	boxes   []chan Task // per worker index; nil for pool workers
-	shared  chan Task
+	boxes   []chan Task // per worker index
 	pending atomic.Int64
 	closed  chan struct{}
 	once    sync.Once
 }
 
-// NewChanTransport builds channels for the plan. buffer is the per-channel
-// capacity (the classic 256-slot instance queue when 0).
-func NewChanTransport(plan Plan, buffer int) *ChanTransport {
-	if buffer <= 0 {
-		buffer = 256
+// chanBuffer is the capacity of each instance channel.
+const chanBuffer = 256
+
+// NewChanTransport builds one channel per worker. The plan must be fully
+// pinned.
+func NewChanTransport(plan Plan) (*ChanTransport, error) {
+	if plan.Pool > 0 {
+		return nil, fmt.Errorf("runtime: chan transport supports pinned workers only (plan has %d pool workers)", plan.Pool)
 	}
 	t := &ChanTransport{
 		plan:   plan,
 		boxes:  make([]chan Task, len(plan.Workers)),
-		shared: make(chan Task, buffer),
 		closed: make(chan struct{}),
 	}
-	for w, spec := range plan.Workers {
-		if spec.Pinned() {
-			t.boxes[w] = make(chan Task, buffer)
-		}
+	for w := range t.boxes {
+		t.boxes[w] = make(chan Task, chanBuffer)
 	}
-	return t
+	return t, nil
 }
 
 // Push implements Transport. Sends block when the destination buffer is full
 // (backpressure) and abandon on shutdown to avoid deadlocking a failed run.
 func (t *ChanTransport) Push(tasks ...Task) error {
 	for _, task := range tasks {
-		dst := t.shared
-		if task.Instance >= 0 {
-			w, ok := t.plan.WorkerFor(task.PE, task.Instance)
-			if !ok {
-				return fmt.Errorf("runtime: no pinned worker for %s[%d]", task.PE, task.Instance)
-			}
-			dst = t.boxes[w]
+		if task.Instance < 0 {
+			return fmt.Errorf("runtime: chan transport has no shared pool to route %s to", task.PE)
+		}
+		w, ok := t.plan.WorkerFor(task.PE, task.Instance)
+		if !ok {
+			return fmt.Errorf("runtime: no pinned worker for %s[%d]", task.PE, task.Instance)
 		}
 		if !task.Poison {
 			t.pending.Add(1)
 		}
 		select {
-		case dst <- task:
+		case t.boxes[w] <- task:
 		case <-t.closed:
 			return errTransportClosed
 		}
@@ -73,8 +71,7 @@ func (t *ChanTransport) Push(tasks ...Task) error {
 
 // PullBatch implements Transport: after the release, a blocking wait for the
 // first task, then buffered draining — whatever is already queued joins the
-// batch without further blocking. A poison pill ends its batch so sibling
-// pool workers keep their pills visible.
+// batch without further blocking. A poison pill ends its batch.
 func (t *ChanTransport) PullBatch(w, max int, timeout time.Duration, release ...Env) ([]Env, error) {
 	if err := t.Ack(w, release...); err != nil {
 		return nil, err
@@ -82,10 +79,7 @@ func (t *ChanTransport) PullBatch(w, max int, timeout time.Duration, release ...
 	if max < 1 {
 		max = 1
 	}
-	src := t.shared
-	if box := t.boxes[w]; box != nil {
-		src = box
-	}
+	src := t.boxes[w]
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	var envs []Env
@@ -131,14 +125,11 @@ func (t *ChanTransport) Ack(w int, envs ...Env) error {
 // Pending implements Transport.
 func (t *ChanTransport) Pending() (int64, error) { return t.pending.Load(), nil }
 
-// QueueDepths implements DepthReporter: the shared pool channel's occupancy
-// plus one "box:<pe>:<i>" entry per pinned instance channel.
+// QueueDepths implements DepthReporter: one "box:<pe>:<i>" entry per
+// instance channel.
 func (t *ChanTransport) QueueDepths() map[string]int64 {
-	out := map[string]int64{"shared": int64(len(t.shared))}
+	out := make(map[string]int64, len(t.boxes))
 	for w, box := range t.boxes {
-		if box == nil {
-			continue
-		}
 		spec := t.plan.Workers[w]
 		out[fmt.Sprintf("box:%s:%d", spec.PE, spec.Instance)] = int64(len(box))
 	}

@@ -124,7 +124,11 @@ func TestTransportsPoisonPillBatchFraming(t *testing.T) {
 
 	t.Run("chan", func(t *testing.T) {
 		plan := runtime.NewPlan([]runtime.WorkerSpec{{PE: "pe", Instance: 0}}, map[string]int{"pe": 1})
-		assertReversible(t, runtime.NewChanTransport(plan, 0), func(v int, poison bool) runtime.Task {
+		tr, err := runtime.NewChanTransport(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertReversible(t, tr, func(v int, poison bool) runtime.Task {
 			return runtime.Task{PE: "pe", Port: "in", Value: v, Instance: 0, Poison: poison}
 		})
 	})

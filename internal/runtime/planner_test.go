@@ -1,4 +1,4 @@
-package multiproc
+package runtime_test
 
 import (
 	"sync"
@@ -10,15 +10,6 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/platform"
 )
-
-func TestNameAndRegistration(t *testing.T) {
-	if (Multi{}).Name() != "multi" {
-		t.Error("name")
-	}
-	if _, err := mapping.Get("multi"); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestPipelineBackpressure fills the bounded instance channels: a slow sink
 // with a fast producer must neither deadlock nor drop data.
@@ -47,10 +38,14 @@ func TestPipelineBackpressure(t *testing.T) {
 		})
 	})
 	g.Pipe("gen", "slow")
+	m, err := mapping.Get("multi")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := (Multi{}).Execute(g, mapping.Options{
+		_, err := m.Execute(g, mapping.Options{
 			Processes: 2,
 			Platform:  platform.Platform{Name: "t", Cores: 4},
 			Seed:      1,
@@ -113,8 +108,12 @@ func TestDiamondEOSTermination(t *testing.T) {
 	g.Pipe("gen", "right")
 	g.Pipe("left", "join")
 	g.Pipe("right", "join")
+	m, err := mapping.Get("multi")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	if _, err := (Multi{}).Execute(g, mapping.Options{
+	if _, err := m.Execute(g, mapping.Options{
 		Processes: 8,
 		Platform:  platform.Platform{Name: "t", Cores: 4},
 		Seed:      1,

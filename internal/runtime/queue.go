@@ -9,7 +9,7 @@ import (
 	"repro/internal/platform"
 )
 
-// Queue is the dynamic global queue (formerly package dynamic's). Every
+// Queue is the dynamic global queue of the dyn[_auto]_multi rows. Every
 // operation holds the queue lock for the platform's synchronization cost, so
 // contending workers serialize exactly as processes serialize on a
 // multiprocessing.Queue — the overhead that makes total process time creep

@@ -4,21 +4,9 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-)
 
-// RankLink is the point-to-point substrate the rank transport drives. It is
-// implemented by internal/mpi.World; the indirection keeps this package free
-// of an mpi dependency so the mpi mapping can import runtime.
-type RankLink interface {
-	// Send delivers data to rank dest.
-	Send(from, dest, tag int, data any) error
-	// RecvDataTimeout removes and returns the next payload queued for rank
-	// me, waiting up to timeout when the mailbox is empty (ok false on
-	// timeout).
-	RecvDataTimeout(me int, timeout time.Duration) (any, bool, error)
-	// Close aborts the link: blocked and subsequent operations fail.
-	Close()
-}
+	"repro/internal/mpi"
+)
 
 // RankTransport carries tasks between fixed ranks, one rank per pinned
 // worker — the MPI mapping's discipline. There is no shared pool: the
@@ -26,19 +14,19 @@ type RankLink interface {
 // system crucial for dynamic task assignments" is encoded in the transport
 // rejecting Instance < 0 routing.
 type RankTransport struct {
-	link    RankLink
+	world   *mpi.World
 	plan    Plan
 	pending atomic.Int64
 	closed  atomic.Bool
 }
 
-// NewRankTransport wraps a rank link. The plan must be fully pinned with one
+// NewRankTransport wraps a world. The plan must be fully pinned with one
 // worker per rank (worker index == rank).
-func NewRankTransport(link RankLink, plan Plan) (*RankTransport, error) {
+func NewRankTransport(world *mpi.World, plan Plan) (*RankTransport, error) {
 	if plan.Pool > 0 {
 		return nil, fmt.Errorf("runtime: rank transport supports pinned workers only (plan has %d pool workers)", plan.Pool)
 	}
-	return &RankTransport{link: link, plan: plan}, nil
+	return &RankTransport{world: world, plan: plan}, nil
 }
 
 // Push implements Transport.
@@ -58,7 +46,7 @@ func (t *RankTransport) Push(tasks ...Task) error {
 		// identity — the coordinator and run seeding have none), so the
 		// envelope is self-addressed: Message.Source is the receiving rank,
 		// and receivers must match with AnySource, as RecvDataTimeout does.
-		if err := t.link.Send(rank, rank, 0, task); err != nil {
+		if err := t.world.Send(rank, rank, 0, task); err != nil {
 			return t.maybeClosed(err)
 		}
 	}
@@ -79,7 +67,7 @@ func (t *RankTransport) PullBatch(w, max int, timeout time.Duration, release ...
 	var envs []Env
 	wait := timeout
 	for len(envs) < max {
-		data, ok, err := t.link.RecvDataTimeout(w, wait)
+		data, ok, err := t.world.RecvDataTimeout(w, wait)
 		if err != nil {
 			return nil, t.maybeClosed(err)
 		}
@@ -113,22 +101,12 @@ func (t *RankTransport) Ack(w int, envs ...Env) error {
 	return nil
 }
 
-// rankDepths is the optional mailbox-length refinement of RankLink (the same
-// no-mpi-import indirection); mpi.World implements it.
-type rankDepths interface {
-	QueueLen(rank int) int
-}
-
-// QueueDepths implements DepthReporter when the link can report mailbox
-// lengths ("rank:<i>" per worker); nil otherwise.
+// QueueDepths implements DepthReporter: one "rank:<i>" mailbox length per
+// worker.
 func (t *RankTransport) QueueDepths() map[string]int64 {
-	ld, ok := t.link.(rankDepths)
-	if !ok {
-		return nil
-	}
 	out := make(map[string]int64, len(t.plan.Workers))
 	for w := range t.plan.Workers {
-		out[fmt.Sprintf("rank:%d", w)] = int64(ld.QueueLen(w))
+		out[fmt.Sprintf("rank:%d", w)] = int64(t.world.QueueLen(w))
 	}
 	return out
 }
@@ -139,7 +117,7 @@ func (t *RankTransport) Pending() (int64, error) { return t.pending.Load(), nil 
 // Done implements Transport.
 func (t *RankTransport) Done() error {
 	if !t.closed.Swap(true) {
-		t.link.Close()
+		t.world.Close()
 	}
 	return nil
 }

@@ -2,16 +2,18 @@
 // on. It owns the one worker loop (task pull → PE process → batched emit →
 // finalize → acknowledge) and the one termination protocol (a coordinator
 // that drains the transport, flushes Final hooks in topological order, then
-// poisons the workers), while the mappings shrink to planners: they decide
-// how many workers exist, which are pinned to PE instances and which form a
-// dynamic pool, and which Transport carries the tasks.
+// poisons the workers), while each mapping shrinks to one Planner row: it
+// decides how many workers exist, which are pinned to PE instances and
+// which form a dynamic pool, and which Transport carries the tasks. The
+// in-process rows are registered here; the Redis rows in package redismap.
 //
 // Four transports implement the same contract:
 //
 //	ChanTransport   in-process channels, one per pinned instance (multi)
 //	QueueTransport  the shared in-process global queue (dyn_multi)
-//	RedisTransport  a Redis stream consumer group for the pool plus private
-//	                lists for pinned instances (dyn_redis, hybrid_redis)
+//	RedisTransport  per-shard Redis streams under consumer groups: a shared
+//	                pool stream plus private streams for pinned instances
+//	                (dyn_redis, hybrid_redis)
 //	RankTransport   MPI-style per-rank mailboxes (mpi)
 //
 // Because termination and finalization are decided by one coordinator
@@ -94,8 +96,8 @@ type Transport interface {
 }
 
 // DepthReporter is an optional Transport refinement exposing per-queue depth
-// gauges for telemetry: channel occupancies, stream entry counts, private
-// list lengths. Keys name the queue ("shared", "stream", "box:<pe>:<i>", …);
+// gauges for telemetry: channel occupancies, stream entry counts, mailbox
+// lengths. Keys name the queue ("box:<pe>:<i>", "queue", "stream", …);
 // implementations best-effort skip queues they cannot sample.
 type DepthReporter interface {
 	QueueDepths() map[string]int64

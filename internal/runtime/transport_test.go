@@ -32,7 +32,11 @@ func transportFixtures() []transportFixture {
 	}
 	return []transportFixture{
 		{name: "chan", make: func(t *testing.T) (runtime.Transport, runtime.Task, func()) {
-			return runtime.NewChanTransport(pinnedPlan(), 0), runtime.Task{PE: "pe", Port: "in", Instance: 0}, nil
+			tr, err := runtime.NewChanTransport(pinnedPlan())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr, runtime.Task{PE: "pe", Port: "in", Instance: 0}, nil
 		}},
 		{name: "queue", make: func(t *testing.T) (runtime.Transport, runtime.Task, func()) {
 			return runtime.NewQueueTransport(runtime.NewQueue(0)), runtime.Task{PE: "pe", Port: "in", Instance: -1}, nil
@@ -327,5 +331,39 @@ func TestSeedHelpersStable(t *testing.T) {
 	}
 	if runtime.NodeHash("a") != graph.Hash32("a") || runtime.NodeHash("a") == runtime.NodeHash("b") {
 		t.Error("NodeHash must be the graph FNV hash")
+	}
+}
+
+// TestPinnedTransportsRejectPool checks that the static transports have no
+// shared pool: a plan with pool workers is refused at construction, and a
+// task addressed to the pool (Instance < 0) is refused at push.
+func TestPinnedTransportsRejectPool(t *testing.T) {
+	poolPlan := runtime.NewPlan(make([]runtime.WorkerSpec, 2), map[string]int{"pe": 0})
+	pinned := runtime.NewPlan([]runtime.WorkerSpec{{PE: "pe", Instance: 0}}, map[string]int{"pe": 1})
+	world, err := mpi.NewWorld(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(world.Close)
+	for name, build := range map[string]func(runtime.Plan) (runtime.Transport, error){
+		"chan": func(p runtime.Plan) (runtime.Transport, error) { return runtime.NewChanTransport(p) },
+		"rank": func(p runtime.Plan) (runtime.Transport, error) { return runtime.NewRankTransport(world, p) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := build(poolPlan); err == nil {
+				t.Error("pool plan accepted")
+			}
+			tr, err := build(pinned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Done()
+			if err := tr.Push(runtime.Task{PE: "pe", Port: "in", Instance: -1}); err == nil {
+				t.Error("pool task accepted")
+			}
+			if p, _ := tr.Pending(); p != 0 {
+				t.Errorf("pending = %d after a refused push, want 0", p)
+			}
+		})
 	}
 }

@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	_ "repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/mapping"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
+	_ "repro/internal/runtime" // register the in-process mappings
 )
 
 // TestPullBatchingPreservesDelivery runs a fan-out pipeline under every

@@ -8,8 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mapping"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
+	_ "repro/internal/runtime" // register the in-process mappings
 	"repro/internal/statics"
 )
 

@@ -8,13 +8,11 @@ import (
 	"sync"
 	"testing"
 
-	_ "repro/internal/dynamic"
 	"repro/internal/mapping"
 	"repro/internal/miniredis"
-	_ "repro/internal/mpi"
-	_ "repro/internal/multiproc"
 	"repro/internal/platform"
 	_ "repro/internal/redismap"
+	_ "repro/internal/runtime" // register the in-process mappings
 	"repro/internal/synth"
 	"repro/internal/workflows/galaxy"
 	"repro/internal/workflows/seismic"
